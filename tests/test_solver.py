@@ -157,3 +157,22 @@ def test_benchmark_all_timeouts_reports_absent_stats():
     stats = benchmark_sudoku(3, "predicate", runs=2, timeout_ms=60, seed=3)
     assert stats.timeouts == 2
     assert stats.mean_ms is None and stats.median_ms is None and stats.stdev_ms is None
+
+
+# (status, iterations, restarts) for solve(build_sudoku(3, v), 60000, seed)
+# with seed in derive_seeds(42, 2); any change to the search trajectory
+# shows up here.
+GOLDEN_TRAJECTORIES = {
+    "handcrafted": [("solved", 3105, 1), ("solved", 26990, 18)],
+    "icn_hardcoded": [("solved", 17596, 11), ("solved", 11213, 6)],
+    "icn_feedforward": [("solved", 17596, 11), ("solved", 11213, 6)],
+}
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_TRAJECTORIES))
+def test_golden_trajectories(variant):
+    got = []
+    for seed in derive_seeds(42, 2):
+        out = solve(build_sudoku(3, variant), timeout_ms=60000, rng_seed=seed)
+        got.append((out.status, out.iterations, out.restarts))
+    assert got == GOLDEN_TRAJECTORIES[variant]

@@ -119,6 +119,8 @@ def _ga_config(args) -> ga.GaConfig:
 
 
 def cmd_learn(args) -> int:
+    if args.runs < 1:
+        raise ValueError(f"--runs must be >= 1, got {args.runs}")
     space = spaces.load_space(args.space)
     if not space.has_costs:
         raise ValueError(f"{args.space} has no costs; regenerate with a cost mode")

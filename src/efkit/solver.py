@@ -31,6 +31,13 @@ def alldiff_primal_violation(x: Sequence[int]) -> int:
     return sum(c * (c - 1) // 2 for c in counts.values())
 
 
+def alldiff_primal_violation_batch(X: np.ndarray) -> np.ndarray:
+    """alldiff_primal_violation of each row: equal ordered pairs, less the
+    diagonal, halved."""
+    equal = (X[:, :, None] == X[:, None, :]).sum(axis=(1, 2))
+    return (equal - X.shape[1]) // 2
+
+
 def _all_distinct(x: Sequence[int]) -> bool:
     return len(set(x)) == len(x)
 
@@ -40,19 +47,32 @@ def _duplicate_positions(x: Sequence[int]) -> int:
     return len(x) - len(set(x))
 
 
+def _duplicate_positions_batch(X: np.ndarray) -> np.ndarray:
+    """_duplicate_positions of each row: equal neighbours after a row sort."""
+    ordered = np.sort(X, axis=1)
+    return (ordered[:, 1:] == ordered[:, :-1]).sum(axis=1)
+
+
 @dataclass
 class Constraint:
     """A scoped constraint with a guidance error and a ground-truth predicate.
 
-    error returns 0 exactly when the predicate is intended to hold; for
-    predicate-only models it is the 0/1 violation indicator. error_batch,
-    when set, evaluates a (rows, len(scope)) candidate matrix at once.
+    error returns a non-negative integer, 0 exactly when the predicate is
+    intended to hold; for predicate-only models it is the 0/1 violation
+    indicator. error_batch maps a (rows, len(scope)) int64 candidate matrix
+    to one error per row; left out, it applies error row by row. The solver
+    calls only error_batch.
     """
 
     scope: tuple[int, ...]
-    error: Callable[[Sequence[int]], float]
+    error: Callable[[Sequence[int]], int]
     predicate: Callable[[Sequence[int]], bool]
     error_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        if self.error_batch is None and self.error is not None:
+            error = self.error
+            self.error_batch = lambda X: np.array([error(r) for r in X.tolist()], dtype=np.int64)
 
 
 @dataclass
@@ -76,7 +96,7 @@ def CspModel(domains, constraints) -> Model:
     wrapped = [
         Constraint(
             scope=con.scope,
-            error=(lambda pred: lambda vals: 0.0 if pred(vals) else 1.0)(con.predicate),
+            error=(lambda pred: lambda vals: 0 if pred(vals) else 1)(con.predicate),
             predicate=con.predicate,
         )
         for con in constraints
@@ -125,34 +145,23 @@ def build_sudoku(
         cons = [Constraint(scope=s, error=None, predicate=_all_distinct) for s in scopes]
         return CspModel(domains, cons)
     if variant == "handcrafted":
-        cons = [
-            Constraint(scope=s, error=alldiff_primal_violation, predicate=_all_distinct)
-            for s in scopes
-        ]
-        return EfspModel(domains, cons)
-
-    reference = icn.alldifferent_reference_genome()
-    if genome is None:
-        genome = reference
-    if variant == "icn_hardcoded" and genome.bits != reference.bits:
-        raise ValueError(
-            "no hard-coded equivalent for this genome; only "
-            f"{icn.describe_genome(reference)} is coded directly"
-        )
-    if variant == "icn_hardcoded":
-        cons = [
-            Constraint(scope=s, error=_duplicate_positions, predicate=_all_distinct)
-            for s in scopes
-        ]
-        return EfspModel(domains, cons)
-    ef = ErrorFunction(genome, EvalContext(n=n, d=n, p=0, lo=1))
+        error, error_batch = alldiff_primal_violation, alldiff_primal_violation_batch
+    else:
+        reference = icn.alldifferent_reference_genome()
+        if genome is None:
+            genome = reference
+        if variant == "icn_hardcoded" and genome.bits != reference.bits:
+            raise ValueError(
+                "no hard-coded equivalent for this genome; only "
+                f"{icn.describe_genome(reference)} is coded directly"
+            )
+        if variant == "icn_hardcoded":
+            error, error_batch = _duplicate_positions, _duplicate_positions_batch
+        else:
+            ef = ErrorFunction(genome, EvalContext(n=n, d=n, p=0, lo=1))
+            error, error_batch = ef.evaluate, ef.evaluate_batch
     cons = [
-        Constraint(
-            scope=s,
-            error=ef.evaluate,
-            predicate=_all_distinct,
-            error_batch=ef.evaluate_batch,
-        )
+        Constraint(scope=s, error=error, predicate=_all_distinct, error_batch=error_batch)
         for s in scopes
     ]
     return EfspModel(domains, cons)
@@ -175,24 +184,36 @@ def solve(
         plateau_budget = 10 * nvars
     constraints = model.constraints
     ncons = len(constraints)
+    domains = model.domains
+    scopes = [np.array(con.scope, dtype=np.intp) for con in constraints]
     var_constraints: list[list[int]] = [[] for _ in range(nvars)]
     for ci, con in enumerate(constraints):
         for v in con.scope:
             var_constraints[v].append(ci)
-    scope_pos = [{v: i for i, v in enumerate(con.scope)} for con in constraints]
-    domains = model.domains
     # Fancy-index matrix for the per-variable penalty scan; rows are padded
     # with a sentinel slot that always holds error 0.
     max_deg = max((len(lst) for lst in var_constraints), default=1)
     var_cons_idx = np.full((nvars, max_deg), ncons, dtype=np.intp)
     for v, lst in enumerate(var_constraints):
         var_cons_idx[v, : len(lst)] = lst
+    # Each variable's scoring plan: its constraints grouped by evaluator and
+    # scope width, so that a move makes one stacked error_batch call per
+    # group (network overhead is per call, not per row).
+    plans = []
+    for v, lst in enumerate(var_constraints):
+        groups: dict[tuple, list[int]] = {}
+        for ci in lst:
+            groups.setdefault((constraints[ci].error_batch, len(scopes[ci])), []).append(ci)
+        plans.append([
+            (error_batch, np.array(members), np.stack([scopes[ci] for ci in members]))
+            for (error_batch, _), members in groups.items()
+        ])
 
     start = time.perf_counter()
     deadline = start + timeout_ms / 1000.0
     iterations = 0
     restarts = 0
-    errors = np.zeros(ncons + 1)
+    errors = np.zeros(ncons + 1, dtype=np.int64)
     tabu_until = np.zeros(nvars, dtype=np.int64)
 
     def finish(status, assignment):
@@ -200,23 +221,19 @@ def solve(
         return SolveOutcome(status, assignment, elapsed, iterations, restarts)
 
     while True:
-        assignment = [rng.randint(lo, hi) for lo, hi in domains]
-        projections = [
-            np.array([assignment[v] for v in con.scope], dtype=np.int64)
-            for con in constraints
-        ]
+        assignment = np.array([rng.randint(lo, hi) for lo, hi in domains], dtype=np.int64)
         for ci, con in enumerate(constraints):
-            errors[ci] = con.error([assignment[v] for v in con.scope])
-        errors[ncons] = 0.0
-        total = float(errors[:ncons].sum())
+            errors[ci] = con.error_batch(assignment[scopes[ci]][None])[0]
+        total = int(errors.sum())
         tabu_until[:] = 0
         best_total = total
         since_improvement = 0
 
         while True:
-            if total == 0.0:
-                if model.satisfied(assignment):
-                    return finish("solved", assignment)
+            if total == 0:
+                solution = assignment.tolist()
+                if model.satisfied(solution):
+                    return finish("solved", solution)
                 break  # unfaithful guidance: restart rather than loop forever
             if time.perf_counter() > deadline:
                 return finish("timeout", None)
@@ -224,9 +241,9 @@ def solve(
 
             penalties = errors[var_cons_idx].sum(axis=1)
             blocked = tabu_until >= iterations
-            penalties[blocked] = -1.0
+            penalties[blocked] = -1
             worst = penalties.max()
-            if worst > 0.0:
+            if worst > 0:
                 candidates = np.flatnonzero(penalties == worst)
             else:
                 # Everything informative is tabu; pick any free variable.
@@ -238,76 +255,30 @@ def solve(
             # A move always changes the variable; allowing it to stay put
             # lets non-improving no-ops rotate through the tabu list forever.
             lo, hi = domains[var]
-            current = assignment[var]
-            values = [val for val in range(lo, hi + 1) if val != current]
-            nvalues = len(values)
-            cons_here = var_constraints[var]
-            cand_errors = np.zeros((nvalues, len(cons_here)))
-            groups: dict[tuple, tuple] = {}
-            for col, ci in enumerate(cons_here):
-                con = constraints[ci]
-                pos = scope_pos[ci][var]
-                if con.error_batch is not None:
-                    # Constraints sharing an evaluator and scope width run as
-                    # one stacked call; network overhead is per call, not row.
-                    key = (id(con.error_batch), len(con.scope))
-                    group = groups.get(key)
-                    if group is None:
-                        groups[key] = (con.error_batch, [col], [(ci, pos)])
-                    else:
-                        group[1].append(col)
-                        group[2].append((ci, pos))
-                else:
-                    proj = [assignment[v] for v in con.scope]
-                    for row, val in enumerate(values):
-                        proj[pos] = val
-                        cand_errors[row, col] = con.error(proj)
-            sole_group = None
-            if len(groups) == 1:
-                only = next(iter(groups.values()))
-                if len(only[1]) == len(cons_here):
-                    sole_group = only
-            if sole_group is not None:
-                error_batch, cols, places = sole_group
-                width = len(constraints[places[0][0]].scope)
-                stacked = np.empty((len(cols) * nvalues, width), dtype=np.int64)
-                for slot, (ci, pos) in enumerate(places):
-                    seg = stacked[slot * nvalues : (slot + 1) * nvalues]
-                    seg[:] = projections[ci]
-                    seg[:, pos] = values
-                out = error_batch(stacked)
-                cand_totals = out.reshape(len(cols), nvalues).sum(axis=0)
-            else:
-                for error_batch, cols, places in groups.values():
-                    width = len(constraints[places[0][0]].scope)
-                    stacked = np.empty((len(cols) * nvalues, width), dtype=np.int64)
-                    for slot, (ci, pos) in enumerate(places):
-                        seg = stacked[slot * nvalues : (slot + 1) * nvalues]
-                        seg[:] = projections[ci]
-                        seg[:, pos] = values
-                    out = error_batch(stacked)
-                    for slot, col in enumerate(cols):
-                        cand_errors[:, col] = out[slot * nvalues : (slot + 1) * nvalues]
-                cand_totals = cand_errors.sum(axis=1)
-            best_value = cand_totals.min()
-            choices = np.flatnonzero(cand_totals == best_value)
+            values = np.arange(lo, hi, dtype=np.int64)
+            values[values >= assignment[var]] += 1
+            # out[row, slot]: error of the group's slot-th constraint with the
+            # variable set to values[row].
+            outs = []
+            cand_totals = np.zeros(len(values), dtype=np.int64)
+            for error_batch, members, member_scopes in plans[var]:
+                rows = np.where(
+                    member_scopes == var, values[:, None, None], assignment[member_scopes]
+                )
+                out = error_batch(rows.reshape(-1, rows.shape[2]))
+                out = out.reshape(len(values), len(members))
+                outs.append((members, out))
+                cand_totals += out.sum(axis=1)
+            choices = np.flatnonzero(cand_totals == cand_totals.min())
             pick = int(choices[0]) if len(choices) == 1 else int(rng.choice(choices))
 
-            current_local = sum(float(errors[ci]) for ci in cons_here)
-            picked_value = values[pick]
-            assignment[var] = picked_value
-            if sole_group is not None:
-                for slot, (ci, pos) in enumerate(sole_group[2]):
-                    errors[ci] = out[slot * nvalues + pick]
-                    projections[ci][pos] = picked_value
-            else:
-                for col, ci in enumerate(cons_here):
-                    errors[ci] = cand_errors[pick, col]
-                    projections[ci][scope_pos[ci][var]] = picked_value
-            total += float(cand_totals[pick]) - current_local
+            assignment[var] = values[pick]
+            for members, out in outs:
+                errors[members] = out[pick]
+            total = int(errors.sum())
             tabu_until[var] = iterations + tabu_tenure
 
-            if total < best_total - 1e-9:
+            if total < best_total:
                 best_total = total
                 since_improvement = 0
             else:

@@ -25,10 +25,11 @@ from .concepts import (
 DEFAULT_ENUMERATION_CAP = 10**7
 DEFAULT_DRAW_BUDGET = 10**8
 
-# Batches are generated in blocks of this many at once; values are
-# identical to one-batch-at-a-time generation because each full batch
-# consumes exactly d*n uniform draws in row-major order either way.
-_BATCH_BLOCK = 4096
+# Full batches are generated in blocks of up to this many cells (4096
+# batches at d = n = 10); values are identical to one-batch-at-a-time
+# generation because each full batch consumes exactly d*n uniform draws in
+# row-major order either way.
+_BLOCK_CELLS = 4096 * 10 * 10
 
 
 class EnumerationCapError(Exception):
@@ -127,6 +128,10 @@ def _lhs_batch(c: ConstraintInstance, b: int, rng: np.random.Generator) -> np.nd
     return out
 
 
+def _block_batches(c: ConstraintInstance) -> int:
+    return max(1, _BLOCK_CELLS // (c.d * c.n))
+
+
 def _full_batch_block(c: ConstraintInstance, count: int, rng: np.random.Generator) -> np.ndarray:
     """count full batches of size d at once; same stream as repeated _lhs_batch."""
     d, n = c.d, c.n
@@ -143,7 +148,7 @@ def lhs_sample(c: ConstraintInstance, count: int, rng_seed: int) -> np.ndarray:
     parts = []
     done = 0
     while done < full:
-        block = min(_BATCH_BLOCK, full - done)
+        block = min(_block_batches(c), full - done)
         parts.append(_full_batch_block(c, block, rng))
         done += block
     if rest:
@@ -177,7 +182,7 @@ def sample_balanced(
                 f"and {n_non}/{k} non-solutions for {format_constraint_line(c)}; "
                 "the class rate may be too low for balanced sampling"
             )
-        block = min(_BATCH_BLOCK, max(1, -(-(draw_budget - drawn) // c.d)))
+        block = min(_block_batches(c), max(1, -(-(draw_budget - drawn) // c.d)))
         xs = _full_batch_block(c, block, rng)
         if drawn + len(xs) > draw_budget:
             xs = xs[: draw_budget - drawn]
@@ -276,7 +281,7 @@ def sample_balanced_direct(
                 f"solutions and {k - need_non}/{k} non-solutions for "
                 f"{format_constraint_line(c)}"
             )
-        block = min(_BATCH_BLOCK, max(1, -(-(draw_budget - drawn) // c.d)))
+        block = min(_block_batches(c), max(1, -(-(draw_budget - drawn) // c.d)))
         xs = _full_batch_block(c, block, rng)
         drawn += len(xs)
         labels = concept_holds_batch(c, xs)
@@ -316,7 +321,17 @@ def save_space(space: LabeledSpace, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _int_token(path, ln: int, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{path}:{ln}: {token!r} is not an integer") from None
+
+
 def load_space(path) -> LabeledSpace:
+    """Read a space file, rejecting with the file and line: rows of the wrong
+    width, non-integer tokens, values outside [lo, hi], labels other than
+    0/1 or at odds with the concept, and solutions with a non-zero cost."""
     text = Path(path).read_text().splitlines()
     if not text or not text[0].startswith("# constraint "):
         raise ValueError(f"{path}: missing space header")
@@ -326,24 +341,44 @@ def load_space(path) -> LabeledSpace:
     if complete not in ("0", "1"):
         raise ValueError(f"{path}: header lacks complete=<0|1>")
     c = parse_constraint_line(" ".join(f"{k}={v}" for k, v in fields.items()))
-    rows, labels, costs = [], [], []
-    any_cost = False
+    rows, labels, costs, line_nos = [], [], [], []
     for ln, line in enumerate(text[1:], start=2):
         if not line.strip():
             continue
         parts = [part.strip() for part in line.split("|")]
         if len(parts) != 3:
             raise ValueError(f"{path}:{ln}: expected `values | label | cost`")
-        rows.append([int(v) for v in parts[0].split()])
-        labels.append(parts[1] == "1")
-        if parts[2] == "-":
-            costs.append(-1)
-        else:
-            costs.append(int(parts[2]))
-            any_cost = True
+        values, label, cost = parts
+        row = [_int_token(path, ln, v) for v in values.split()]
+        if len(row) != c.n:
+            raise ValueError(f"{path}:{ln}: expected {c.n} values, got {len(row)}")
+        if label not in ("0", "1"):
+            raise ValueError(f"{path}:{ln}: label must be 0 or 1, got {label!r}")
+        if cost == "-":
+            cost = -1
+        elif (cost := _int_token(path, ln, cost)) < 0:
+            raise ValueError(f"{path}:{ln}: cost must be non-negative or -, got {cost}")
+        if label == "1" and cost > 0:
+            raise ValueError(f"{path}:{ln}: a solution has cost 0, got {cost}")
+        rows.append(row)
+        labels.append(label == "1")
+        costs.append(cost)
+        line_nos.append(ln)
     xs = np.array(rows, dtype=np.int64).reshape(len(rows), c.n)
     label_arr = np.array(labels, dtype=bool)
-    cost_arr = np.array(costs, dtype=np.int64) if any_cost else None
-    if any_cost and (np.array(costs) < 0).any():
+    outside = np.flatnonzero(((xs < c.lo) | (xs > c.hi)).any(axis=1))
+    if len(outside):
+        raise ValueError(f"{path}:{line_nos[outside[0]]}: value outside [{c.lo}, {c.hi}]")
+    wrong = np.flatnonzero(concept_holds_batch(c, xs) != label_arr)
+    if len(wrong):
+        i = wrong[0]
+        raise ValueError(
+            f"{path}:{line_nos[i]}: label {int(label_arr[i])} contradicts "
+            f"{format_constraint_line(c)}"
+        )
+    cost_arr = np.array(costs, dtype=np.int64)
+    if (cost_arr < 0).all():
+        cost_arr = None
+    elif (cost_arr < 0).any():
         raise ValueError(f"{path}: mixed set and unset costs")
     return LabeledSpace(c, xs, label_arr, cost_arr, complete=complete == "1")

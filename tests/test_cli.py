@@ -116,6 +116,27 @@ def test_learn_writes_artifacts_and_summary(tmp_path, alldiff_space, capsys):
     assert sum(counts) == 3
 
 
+def test_learn_rejects_zero_runs(tmp_path, alldiff_space, capsys):
+    out_dir = tmp_path / "runs"
+    assert run_cli(*learn_args(alldiff_space, out_dir, runs=0)) == 1
+    assert "--runs must be >= 1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_learn_rejects_inconsistent_space_file(tmp_path, capsys):
+    # The AllDifferent row 1 1 1 is labeled a solution.
+    space = tmp_path / "bad.space.txt"
+    space.write_text(
+        "# constraint kind=alldiff n=3 lo=1 hi=3 p=0 complete=0\n"
+        "1 2 3 | 1 | 0\n"
+        "1 1 1 | 1 | 0\n"
+    )
+    out_dir = tmp_path / "runs"
+    assert run_cli(*learn_args(space, out_dir, runs=1)) == 1
+    assert f"{space}:3:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_learn_reproducible(tmp_path, alldiff_space):
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     run_cli(*learn_args(alldiff_space, dir_a, runs=2))

@@ -7,7 +7,10 @@ from efkit.solver import (
     Constraint,
     CspModel,
     EfspModel,
+    _duplicate_positions,
+    _duplicate_positions_batch,
     alldiff_primal_violation,
+    alldiff_primal_violation_batch,
     benchmark_sudoku,
     build_sudoku,
     derive_seeds,
@@ -20,6 +23,36 @@ def test_alldiff_primal_violation():
     assert alldiff_primal_violation([1, 1, 1]) == 3
     assert alldiff_primal_violation([1, 1, 2, 2]) == 2
     assert alldiff_primal_violation([5, 5, 5, 5]) == 6
+
+
+@pytest.mark.parametrize("width", [9, 16])
+@pytest.mark.parametrize(
+    "batch, scalar",
+    [
+        (alldiff_primal_violation_batch, alldiff_primal_violation),
+        (_duplicate_positions_batch, _duplicate_positions),
+    ],
+)
+def test_batch_errors_match_scalar_references(batch, scalar, width):
+    rng = np.random.default_rng(width)
+    X = np.concatenate(
+        [
+            rng.integers(1, width + 1, size=(300, width)),
+            np.full((2, width), 4),  # all equal
+            np.array([rng.permutation(width) + 1 for _ in range(2)]),  # all distinct
+        ]
+    )
+    got = batch(X)
+    assert got.dtype == np.int64
+    assert got.tolist() == [scalar(row) for row in X.tolist()]
+    assert got[-4] > 0 and got[-2] == got[-1] == 0
+
+
+def test_constraint_error_batch_defaults_to_row_wise_error():
+    con = Constraint(scope=(0, 1), error=lambda v: abs(v[0] - v[1]), predicate=lambda v: True)
+    got = con.error_batch(np.array([[1, 4], [2, 2], [5, 3]]))
+    assert got.dtype == np.int64
+    assert got.tolist() == [3, 0, 2]
 
 
 def test_build_sudoku_shapes():
@@ -176,3 +209,20 @@ def test_golden_trajectories(variant):
         out = solve(build_sudoku(3, variant), timeout_ms=60000, rng_seed=seed)
         got.append((out.status, out.iterations, out.restarts))
     assert got == GOLDEN_TRAJECTORIES[variant]
+
+
+def test_feedforward_makes_one_network_call_per_move(monkeypatch):
+    # All three constraints on a cell share one evaluator, so each move is
+    # one stacked call; each (re)start scores every constraint once.
+    calls = []
+    original = ErrorFunction.evaluate_batch
+
+    def counting(self, X, diagnostics=None):
+        calls.append(len(X))
+        return original(self, X, diagnostics)
+
+    monkeypatch.setattr(ErrorFunction, "evaluate_batch", counting)
+    out = solve(build_sudoku(3, "icn_feedforward"), timeout_ms=20000, rng_seed=29)
+    assert out.status == "solved" and out.restarts >= 1
+    assert len(calls) == out.iterations + 27 * (out.restarts + 1)
+    assert calls.count(3 * 8) == out.iterations

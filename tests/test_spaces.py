@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from efkit import spaces
 from efkit.concepts import ConstraintInstance, ConstraintKind, concept_holds
 from efkit.spaces import (
     EnumerationCapError,
@@ -9,6 +12,7 @@ from efkit.spaces import (
     lhs_sample,
     load_space,
     sample_balanced,
+    sample_balanced_direct,
     save_space,
 )
 
@@ -181,7 +185,8 @@ def test_space_file_round_trip(tmp_path):
 def test_space_file_round_trip_with_costs(tmp_path):
     c = ConstraintInstance(ConstraintKind.ORDERED, 2, 1, 3)
     space = enumerate_complete(c)
-    space = space.with_costs(np.arange(len(space)) % 3)
+    # Solutions must carry cost 0; the non-solutions get varied costs.
+    space = space.with_costs(np.where(space.labels, 0, 1 + np.arange(len(space)) % 3))
     path = tmp_path / "space.txt"
     save_space(space, path)
     loaded = load_space(path)
@@ -197,3 +202,50 @@ def test_space_file_rejects_garbage(tmp_path):
     path.write_text("# constraint kind=alldiff n=2 lo=1 hi=3 p=0 complete=1\n1 2 | 1\n")
     with pytest.raises(ValueError):
         load_space(path)
+
+
+def test_block_size_does_not_change_samples(monkeypatch):
+    c = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 4, 1, 5)
+    linear = ConstraintInstance(ConstraintKind.LINEAR_SUM, 3, 1, 4, p=6)
+
+    def draws():
+        built = [
+            sample_balanced(c, 40, rng_seed=2),
+            sample_balanced_direct(c, 40, rng_seed=2),
+            sample_balanced_direct(linear, 30, rng_seed=4),  # rejection for solutions
+        ]
+        return [lhs_sample(c, 103, rng_seed=5)] + [
+            part for sp in built for part in (sp.assignments, sp.labels)
+        ]
+
+    default = draws()
+    monkeypatch.setattr(spaces, "_BLOCK_CELLS", 1)  # one batch per block
+    for a, b in zip(default, draws(), strict=True):
+        assert np.array_equal(a, b)
+
+
+HEADER = "# constraint kind=alldiff n=3 lo=1 hi=4 p=0 complete=0\n"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1 2 3 | 7 | 0", "label must be 0 or 1"),
+        ("1 1 2 | 1 | 0", "label 1 contradicts"),
+        ("1 2 3 | 0 | 1", "label 0 contradicts"),
+        ("1 2 9 | 0 | 1", "value outside [1, 4]"),
+        ("1 2 | 0 | 1", "expected 3 values, got 2"),
+        ("1 2 x | 0 | 1", "'x' is not an integer"),
+        ("1 1 2 | 0 | z", "'z' is not an integer"),
+        ("1 1 2 | 0 | -2", "cost must be non-negative or -, got -2"),
+        ("1 2 3 | 1 | 2", "a solution has cost 0, got 2"),
+    ],
+    ids=["label-token", "false-solution", "false-non-solution", "domain", "width",
+         "non-integer", "non-integer-cost", "negative-cost", "solution-cost"],
+)
+def test_load_space_rejects_with_file_and_line(tmp_path, row, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(HEADER + "2 3 4 | 1 | 0\n" + row + "\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}:3: ")) as info:
+        load_space(path)
+    assert message in str(info.value)

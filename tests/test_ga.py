@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -17,6 +19,7 @@ from efkit.ga import (
 )
 from efkit.hamming import exhaustive_solution_set, label_space_costs
 from efkit.icn import Genome, alldifferent_reference_genome, validate
+from efkit.solver import derive_seeds
 from efkit.spaces import enumerate_complete
 
 
@@ -193,3 +196,41 @@ def test_learn_many_matches_single_runs():
         assert result.seed == seed
         assert result.best_genome.bits == solo.best_genome.bits
         assert result.loss_trace == solo.loss_trace
+
+
+# Seeded GA contract on the acceptance training spaces, at the default
+# configuration with seeds derive_seeds(42, 2): best genome (as its genome
+# file bit line), generations_run, best_loss and a digest of the full loss
+# trace. Any change to the search trajectory or the tie rule shows here.
+GOLDEN_LEARN = {
+    "alldiff": [
+        ("0100000000000000001001100000000", 62, 0.11612903225806452, "07726705a2fc3ad1"),
+        ("0100000000000000001001100000000", 62, 0.11612903225806452, "ccfdbfc13936be44"),
+    ],
+    "minimum": [
+        ("0000000000001000001001100000000", 96, 0.11612903225806452, "0d19c35647633038"),
+        ("0100110000000000011010000010000", 90, 0.2032258064516129, "97d524992270471c"),
+    ],
+    "linearsum": [
+        ("0000000001100000001010001000000", 68, 78.14516129032258, "a96c66df7fb782d5"),
+        ("1000000000000000001010001000000", 69, 78.11612903225806, "f012014b1c4a310f"),
+    ],
+}
+
+
+def test_learn_golden_trajectories(tmp_path):
+    from test_acceptance import TRAIN_ALLDIFF, TRAIN_LINEARSUM, TRAIN_MINIMUM
+
+    instances = {"alldiff": TRAIN_ALLDIFF, "minimum": TRAIN_MINIMUM, "linearsum": TRAIN_LINEARSUM}
+    for name, c in instances.items():
+        space = label_space_costs(enumerate_complete(c), exhaustive_solution_set(c))
+        got = []
+        for seed in derive_seeds(42, 2):
+            res = learn(space, GaConfig(rng_seed=seed))
+            path = tmp_path / f"{name}-{seed}.genome.txt"
+            icn.save_genome(icn.ErrorFunction(res.best_genome, icn.ctx_from_constraint(c)), path)
+            bits = path.read_text().splitlines()[1]
+            digest = hashlib.sha256(json.dumps(res.loss_trace).encode()).hexdigest()[:16]
+            assert len(res.loss_trace) == res.generations_run + 1
+            got.append((bits, res.generations_run, res.best_loss, digest))
+        assert got == GOLDEN_LEARN[name], name

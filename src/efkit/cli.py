@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import statistics
 import sys
@@ -75,47 +76,38 @@ def cmd_gen_space(args) -> int:
     return 0
 
 
+# GA settings a config file or a flag may override, with their types; the
+# seed always comes from --seed.
+_GA_SETTINGS = {
+    f.name: type(f.default) for f in dataclasses.fields(ga.GaConfig) if f.name != "rng_seed"
+}
+
+
 def _read_ga_config_file(path) -> dict:
     overrides = {}
-    numeric = {
-        "population_size": int,
-        "max_generations": int,
-        "steady_stop": int,
-        "crossover_rate": float,
-        "mutation_rate": float,
-        "elite_fraction": float,
-        "selection_tournament_size": int,
-        "rng_seed": int,
-    }
     for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep or key not in numeric:
-            raise ValueError(f"{path}:{ln}: expected `<{'|'.join(numeric)}>=<value>`")
-        overrides[key] = numeric[key](value.strip())
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if key == "rng_seed":
+            raise ValueError(f"{path}:{ln}: the GA seed is set by --seed, not the config file")
+        if not sep or key not in _GA_SETTINGS:
+            raise ValueError(f"{path}:{ln}: expected `<{'|'.join(_GA_SETTINGS)}>=<value>`")
+        try:
+            overrides[key] = _GA_SETTINGS[key](value)
+        except ValueError:
+            kind = "an integer" if _GA_SETTINGS[key] is int else "a number"
+            raise ValueError(f"{path}:{ln}: {key} must be {kind}, got {value!r}") from None
     return overrides
 
 
 def _ga_config(args) -> ga.GaConfig:
-    settings = {}
-    if args.config:
-        settings.update(_read_ga_config_file(args.config))
-    for key in (
-        "population_size",
-        "max_generations",
-        "steady_stop",
-        "crossover_rate",
-        "mutation_rate",
-        "elite_fraction",
-    ):
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = value
-    settings["rng_seed"] = args.seed
-    return ga.GaConfig(**settings)
+    settings = _read_ga_config_file(args.config) if args.config else {}
+    for key in _GA_SETTINGS:
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
+    return ga.GaConfig(**settings, rng_seed=args.seed)
 
 
 def cmd_learn(args) -> int:
@@ -286,12 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--config", help="key=value file overriding GA defaults")
-    p.add_argument("--population-size", type=int, dest="population_size")
-    p.add_argument("--max-generations", type=int, dest="max_generations")
-    p.add_argument("--steady-stop", type=int, dest="steady_stop")
-    p.add_argument("--crossover-rate", type=float, dest="crossover_rate")
-    p.add_argument("--mutation-rate", type=float, dest="mutation_rate")
-    p.add_argument("--elite-fraction", type=float, dest="elite_fraction")
+    for key, kind in _GA_SETTINGS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind, dest=key)
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("eval", help="score genome files against a space file")

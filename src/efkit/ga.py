@@ -9,6 +9,7 @@ any improvement of the best loss.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ class GaConfig:
     crossover_rate: float = 0.4
     mutation_rate: float = 1.0
     elite_fraction: float = 0.17
-    selection_tournament_size: int = 2
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -38,8 +38,6 @@ class GaConfig:
         for name in ("population_size", "max_generations", "steady_stop"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.selection_tournament_size != 2:
-            raise ValueError("only 2-way tournaments are supported")
 
     @property
     def elite_count(self) -> int:
@@ -61,8 +59,11 @@ class LearnResult:
 
 
 def random_genome(rng: random.Random) -> Genome:
-    bits = tuple(1 if rng.random() < 0.5 else 0 for _ in range(icn.GENOME_LENGTH))
-    return icn.repair(Genome(bits), rng)
+    """Uniform bits, drawn from bit position 0 (the most significant) on."""
+    value = 0
+    for _ in range(icn.GENOME_LENGTH):
+        value = value << 1 | (rng.random() < 0.5)
+    return icn.repair(Genome(value), rng)
 
 
 def init_population(cfg: GaConfig, rng: random.Random) -> list[Genome]:
@@ -86,17 +87,16 @@ def select(population: list[Genome], losses: list[float], rng: random.Random) ->
 def crossover(a: Genome, b: Genome, rng: random.Random) -> tuple[Genome, Genome]:
     """One-point crossover with the cut strictly inside the genome, then repair."""
     cut = rng.randint(1, icn.GENOME_LENGTH - 1)
-    child1 = Genome(a.bits[:cut] + b.bits[cut:])
-    child2 = Genome(b.bits[:cut] + a.bits[cut:])
+    tail = (1 << (icn.GENOME_LENGTH - cut)) - 1  # bit positions cut.. onwards
+    child1 = Genome(a.value & ~tail | b.value & tail)
+    child2 = Genome(b.value & ~tail | a.value & tail)
     return icn.repair(child1, rng), icn.repair(child2, rng)
 
 
 def mutate(g: Genome, rng: random.Random) -> Genome:
     """Flip exactly one uniformly chosen bit, then repair."""
     idx = rng.randrange(icn.GENOME_LENGTH)
-    bits = list(g.bits)
-    bits[idx] = 1 - bits[idx]
-    return icn.repair(Genome(tuple(bits)), rng)
+    return icn.repair(Genome(g.value ^ 1 << (icn.GENOME_LENGTH - 1 - idx)), rng)
 
 
 def replace(
@@ -134,31 +134,24 @@ def learn(
     """
     rng = random.Random(cfg.rng_seed)
     evaluator = SpaceEvaluator(space)
-    cache: dict[tuple[int, ...], float] = {}
+    cache: dict[int, float] = {}
 
     def fitness(g: Genome) -> float:
-        value = cache.get(g.bits)
+        value = cache.get(g.value)
         if value is None:
-            value = evaluator.loss(g)
-            cache[g.bits] = value
+            value = cache[g.value] = evaluator.loss(g)
         return value
 
-    # Among equal-loss individuals the best-ever slot prefers the
-    # lexicographically greatest bit vector, i.e. the earliest catalog
-    # operations; this canonicalizes ties such as comparisons that reduce
-    # to the identity when p = 0. Ties never reset the steady-stop clock.
-    def better(genome: Genome, loss_value: float) -> bool:
-        if loss_value != best_loss:
-            return loss_value < best_loss
-        return genome.bits > best_genome.bits
+    # Among equal-loss individuals the best-ever slot prefers the greatest
+    # genome int, i.e. the earliest catalog operations; this canonicalizes
+    # ties such as comparisons that reduce to the identity when p = 0. Ties
+    # never reset the steady-stop clock.
+    def rank(entry: tuple[float, Genome]) -> tuple[float, int]:
+        return entry[0], -entry[1].value
 
     population = init_population(cfg, rng)
     losses = [fitness(g) for g in population]
-    best_idx = min(
-        range(len(population)),
-        key=lambda i: (losses[i], tuple(-b for b in population[i].bits)),
-    )
-    best_genome, best_loss = population[best_idx], losses[best_idx]
+    best_loss, best_genome = min(zip(losses, population), key=rank)
     trace = [best_loss]
     if on_generation is not None:
         on_generation(0, population, losses)
@@ -182,17 +175,9 @@ def learn(
         offspring_losses = [fitness(g) for g in offspring]
         population, losses = replace(population, losses, offspring, offspring_losses, cfg)
         generations = gen
-        gen_best = min(
-            range(len(population)),
-            key=lambda i: (losses[i], tuple(-b for b in population[i].bits)),
-        )
-        if losses[gen_best] < best_loss:
-            best_genome, best_loss = population[gen_best], losses[gen_best]
-            stale = 0
-        else:
-            if better(population[gen_best], losses[gen_best]):
-                best_genome = population[gen_best]
-            stale += 1
+        previous = best_loss
+        best_loss, best_genome = min([(best_loss, best_genome), *zip(losses, population)], key=rank)
+        stale = 0 if best_loss < previous else stale + 1
         trace.append(best_loss)
         if on_generation is not None:
             on_generation(gen, population, losses)
@@ -217,9 +202,7 @@ def learn_many(
     space: LabeledSpace, seeds: list[int], cfg: GaConfig, jobs: int = 1
 ) -> list[LearnResult]:
     """Independent seeded runs on one space; results follow seed order."""
-    configs = [
-        (space, GaConfig(**{**cfg.__dict__, "rng_seed": seed})) for seed in seeds
-    ]
+    configs = [(space, dataclasses.replace(cfg, rng_seed=seed)) for seed in seeds]
     if jobs > 1:
         import concurrent.futures
 

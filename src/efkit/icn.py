@@ -21,7 +21,7 @@ import functools
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -69,47 +69,71 @@ def ctx_from_constraint(c: ConstraintInstance) -> EvalContext:
     return EvalContext(n=c.n, d=c.d, p=c.p, lo=c.lo, kind=c.kind)
 
 
+def _bit(position: int) -> int:
+    """The int mask of a bit position; position 0 is the most significant."""
+    return 1 << (GENOME_LENGTH - 1 - position)
+
+
+def _selected(value: int, layer: slice) -> list[int]:
+    """Positions set within a layer, relative to the layer start."""
+    last = GENOME_LENGTH - 1
+    return [i - layer.start for i in range(layer.start, layer.stop) if value >> (last - i) & 1]
+
+
+_LAYERS = (T_SLICE, A_SLICE, G_SLICE, C_SLICE)
+_LAYER_MASKS = tuple((layer, sum(map(_bit, range(layer.start, layer.stop)))) for layer in _LAYERS)
+
+
+class Layers(NamedTuple):
+    """The operations a valid genome selects, as catalog indices."""
+
+    transformations: tuple[int, ...]
+    arithmetic: int
+    aggregation: int
+    comparison: int
+
+
 @dataclass(frozen=True)
 class Genome:
-    bits: tuple[int, ...]
+    """31 bits held as one int; bit position 0 is the most significant, so
+    int order is the order of the bit strings."""
+
+    value: int
 
     def __post_init__(self):
-        if len(self.bits) != GENOME_LENGTH:
-            raise ValueError(f"genome needs {GENOME_LENGTH} bits, got {len(self.bits)}")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("genome bits must be 0 or 1")
+        if not isinstance(self.value, int) or not 0 <= self.value < 1 << GENOME_LENGTH:
+            raise ValueError(f"genome must be an int in [0, 2^{GENOME_LENGTH}), got {self.value!r}")
 
     def count(self) -> int:
-        return sum(self.bits)
+        return self.value.bit_count()
 
-    def selected(self, layer: slice) -> list[int]:
-        """Indices set within a layer, relative to the layer start."""
-        return [i - layer.start for i in range(layer.start, layer.stop) if self.bits[i]]
+    @functools.cached_property
+    def layers(self) -> Optional[Layers]:
+        """The decoded selections, or None when the genome breaks the layer
+        rules: at least one transformation, exactly one of each other layer."""
+        t, a, g, c = (_selected(self.value, layer) for layer in _LAYERS)
+        if not t or len(a) != 1 or len(g) != 1 or len(c) != 1:
+            return None
+        return Layers(tuple(t), a[0], g[0], c[0])
 
 
 def validate(g: Genome) -> bool:
     """At least one transformation; exactly one of each other layer."""
-    return (
-        len(g.selected(T_SLICE)) >= 1
-        and len(g.selected(A_SLICE)) == 1
-        and len(g.selected(G_SLICE)) == 1
-        and len(g.selected(C_SLICE)) == 1
-    )
+    return g.layers is not None
 
 
 def repair(g: Genome, rng) -> Genome:
     """Fix layer cardinalities: trim over-full exclusive layers to one kept
     bit chosen uniformly, seed empty layers with one uniform bit."""
-    bits = list(g.bits)
-    for layer in (T_SLICE, A_SLICE, G_SLICE, C_SLICE):
-        chosen = [i for i in range(layer.start, layer.stop) if bits[i]]
-        if layer is not T_SLICE and len(chosen) > 1:
-            keep = rng.choice(chosen)
-            for i in chosen:
-                bits[i] = 1 if i == keep else 0
-        elif not chosen:
-            bits[rng.randrange(layer.start, layer.stop)] = 1
-    return Genome(tuple(bits))
+    value = g.value
+    for layer, mask in _LAYER_MASKS:
+        count = (value & mask).bit_count()
+        if layer is not T_SLICE and count > 1:
+            keep = rng.choice(_selected(value, layer))
+            value = value & ~mask | _bit(layer.start + keep)
+        elif count == 0:
+            value |= _bit(rng.randrange(layer.start, layer.stop))
+    return Genome(value)
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +265,15 @@ def genome_from_names(
     comparison: str = "identity",
 ) -> Genome:
     """Build a genome by operation names; the layer-index bookkeeping stays here."""
-    bits = [0] * GENOME_LENGTH
     if not transformations:
         raise ValueError("need at least one transformation name")
+    value = 0
     for name in transformations:
-        bits[T_SLICE.start + TRANSFORMATION_NAMES.index(name)] = 1
-    bits[A_SLICE.start + ARITHMETIC_NAMES.index(arithmetic)] = 1
-    bits[G_SLICE.start + AGGREGATION_NAMES.index(aggregation)] = 1
-    bits[C_SLICE.start + COMPARISON_NAMES.index(comparison)] = 1
-    return Genome(tuple(bits))
+        value |= _bit(T_SLICE.start + TRANSFORMATION_NAMES.index(name))
+    value |= _bit(A_SLICE.start + ARITHMETIC_NAMES.index(arithmetic))
+    value |= _bit(G_SLICE.start + AGGREGATION_NAMES.index(aggregation))
+    value |= _bit(C_SLICE.start + COMPARISON_NAMES.index(comparison))
+    return Genome(value)
 
 
 def alldifferent_reference_genome() -> Genome:
@@ -275,7 +299,6 @@ def _clamp(values: np.ndarray, diagnostics: Optional[EvalDiagnostics]) -> np.nda
 
 
 def _forward(
-    t_idx: tuple[int, ...],
     arith: int,
     agg: int,
     comp: int,
@@ -300,37 +323,25 @@ def _forward(
     return out if out.dtype == np.int64 else out.astype(np.int64)
 
 
-def _plan_of(genome: Genome) -> tuple[tuple[int, ...], int, int, int]:
-    return (
-        tuple(genome.selected(T_SLICE)),
-        genome.selected(A_SLICE)[0],
-        genome.selected(G_SLICE)[0],
-        genome.selected(C_SLICE)[0],
-    )
+def _valid_layers(genome: Genome) -> Layers:
+    if genome.layers is None:
+        raise ValueError("genome violates layer cardinality rules")
+    return genome.layers
 
 
 def network_outputs(
     genome: Genome,
     ctx: EvalContext,
     X: np.ndarray,
-    t_provider: Optional[Callable[[int], np.ndarray]] = None,
     diagnostics: Optional[EvalDiagnostics] = None,
 ) -> np.ndarray:
-    """Feed a (m, n) matrix through the four layers; returns (m,) int64 >= 0.
-
-    t_provider, when given, supplies precomputed transformation outputs by
-    layer-local index (used to share work across many genomes on one space).
-    """
-    if not validate(genome):
-        raise ValueError("genome violates layer cardinality rules")
+    """Feed a (m, n) matrix through the four layers; returns (m,) int64 >= 0."""
+    t_idx, arith, agg, comp = _valid_layers(genome)
+    X = np.asarray(X, dtype=np.int64)
     if X.ndim != 2 or X.shape[1] != ctx.n:
         raise ValueError(f"expected shape (m, {ctx.n}), got {X.shape}")
-    t_idx, arith, agg, comp = _plan_of(genome)
-    if t_provider is None:
-        vectors = [_TRANSFORMATION_FNS[t](X, ctx) for t in t_idx]
-    else:
-        vectors = [t_provider(t) for t in t_idx]
-    return _forward(t_idx, arith, agg, comp, ctx, vectors, diagnostics)
+    vectors = [_TRANSFORMATION_FNS[t](X, ctx) for t in t_idx]
+    return _forward(arith, agg, comp, ctx, vectors, diagnostics)
 
 
 @dataclass(frozen=True)
@@ -343,8 +354,6 @@ class ErrorFunction:
     def __post_init__(self):
         if not validate(self.genome):
             raise ValueError("error function requires a valid genome")
-        # Layer selections never change; solvers call this in a hot loop.
-        object.__setattr__(self, "_plan", _plan_of(self.genome))
 
     def evaluate(self, x: Sequence[int], diagnostics: Optional[EvalDiagnostics] = None) -> int:
         if len(x) != self.ctx.n:
@@ -355,12 +364,7 @@ class ErrorFunction:
     def evaluate_batch(
         self, X: np.ndarray, diagnostics: Optional[EvalDiagnostics] = None
     ) -> np.ndarray:
-        X = np.asarray(X, dtype=np.int64)
-        if X.ndim != 2 or X.shape[1] != self.ctx.n:
-            raise ValueError(f"expected shape (m, {self.ctx.n}), got {X.shape}")
-        t_idx, arith, agg, comp = self._plan
-        vectors = [_TRANSFORMATION_FNS[t](X, self.ctx) for t in t_idx]
-        return _forward(t_idx, arith, agg, comp, self.ctx, vectors, diagnostics)
+        return network_outputs(self.genome, self.ctx, X, diagnostics)
 
     def describe(self) -> str:
         return describe_genome(self.genome)
@@ -368,16 +372,12 @@ class ErrorFunction:
 
 def describe_genome(g: Genome) -> str:
     """Symbolic rendering, innermost layer first, identity comparison elided."""
-    if not validate(g):
-        raise ValueError("cannot describe an invalid genome")
-    names = [TRANSFORMATION_NAMES[t] for t in g.selected(T_SLICE)]
-    symbol = _ARITHMETIC_SYMBOLS[ARITHMETIC_NAMES[g.selected(A_SLICE)[0]]]
-    inner = symbol.join(names)
-    agg = AGGREGATION_NAMES[g.selected(G_SLICE)[0]]
-    text = f"{agg}( {inner} )"
-    comp = COMPARISON_NAMES[g.selected(C_SLICE)[0]]
-    if comp != "identity":
-        text = f"{comp}( {text} )"
+    t_idx, arith, agg, comp = _valid_layers(g)
+    symbol = _ARITHMETIC_SYMBOLS[ARITHMETIC_NAMES[arith]]
+    inner = symbol.join(TRANSFORMATION_NAMES[t] for t in t_idx)
+    text = f"{AGGREGATION_NAMES[agg]}( {inner} )"
+    if comp != 0:
+        text = f"{COMPARISON_NAMES[comp]}( {text} )"
     return text
 
 
@@ -439,7 +439,9 @@ class SpaceEvaluator:
         return self._cache[t]
 
     def deviation(self, genome: Genome) -> int:
-        out = network_outputs(genome, self.ctx, self.X, t_provider=self._transformation)
+        t_idx, arith, agg, comp = _valid_layers(genome)
+        vectors = [self._transformation(t) for t in t_idx]
+        out = _forward(arith, agg, comp, self.ctx, vectors, None)
         return int(np.abs(out - self.costs).sum())
 
     def loss(self, genome: Genome) -> float:
@@ -449,8 +451,6 @@ class SpaceEvaluator:
 def loss(g: Genome, space: LabeledSpace) -> float:
     """Eq.-style training loss: summed |prediction - cost| plus the length
     penalty. Costs must be present on every entry."""
-    if not validate(g):
-        raise ValueError("loss requires a valid genome")
     return SpaceEvaluator(space).loss(g)
 
 
@@ -484,7 +484,7 @@ def save_genome(f: ErrorFunction, path) -> None:
         ctx_line += f" kind={ctx.kind.value}"
     lines = [
         _GENOME_MAGIC,
-        "".join(str(b) for b in f.genome.bits),
+        format(f.genome.value, f"0{GENOME_LENGTH}b"),
         ctx_line,
         f"# {describe_genome(f.genome)}",
     ]
@@ -492,25 +492,44 @@ def save_genome(f: ErrorFunction, path) -> None:
 
 
 def load_genome(path) -> ErrorFunction:
+    """Read a genome file, rejecting with the file and line: a bit line that
+    is not 31 0/1 characters or breaks the layer rules, and a ctx line with
+    an unknown or repeated key, a missing or non-integer n, d, p or lo,
+    n or d below 1, or an unknown kind."""
     lines = Path(path).read_text().splitlines()
     if len(lines) < 3 or lines[0].strip() != _GENOME_MAGIC:
         raise ValueError(f"{path}: not a {_GENOME_MAGIC} file")
     bit_text = lines[1].strip()
     if len(bit_text) != GENOME_LENGTH or set(bit_text) - {"0", "1"}:
-        raise ValueError(f"{path}: bit line must be {GENOME_LENGTH} 0/1 characters")
-    genome = Genome(tuple(int(ch) for ch in bit_text))
+        raise ValueError(f"{path}:2: bit line must be {GENOME_LENGTH} 0/1 characters")
+    genome = Genome(int(bit_text, 2))
+    if not validate(genome):
+        raise ValueError(f"{path}:2: genome {bit_text} breaks the layer rules")
     ctx_line = lines[2].strip()
     if not ctx_line.startswith("ctx "):
-        raise ValueError(f"{path}: third line must start with `ctx `")
-    fields = dict(tok.partition("=")[::2] for tok in ctx_line[4:].split())
+        raise ValueError(f"{path}:3: ctx line must start with `ctx `")
+    fields: dict[str, str] = {}
+    for token in ctx_line[4:].split():
+        key, _, value = token.partition("=")
+        if key not in ("n", "d", "p", "lo", "kind"):
+            raise ValueError(f"{path}:3: unknown ctx key {key!r}")
+        if key in fields:
+            raise ValueError(f"{path}:3: duplicate ctx key {key!r}")
+        fields[key] = value
+    numbers = {}
+    for key in ("n", "d", "p", "lo"):
+        if key not in fields:
+            raise ValueError(f"{path}:3: ctx line missing {key!r}")
+        try:
+            numbers[key] = int(fields[key])
+        except ValueError:
+            raise ValueError(
+                f"{path}:3: ctx {key} must be an integer, got {fields[key]!r}"
+            ) from None
+    if numbers["n"] < 1 or numbers["d"] < 1:
+        raise ValueError(f"{path}:3: ctx n and d must be at least 1")
     try:
-        ctx = EvalContext(
-            n=int(fields["n"]),
-            d=int(fields["d"]),
-            p=int(fields["p"]),
-            lo=int(fields["lo"]),
-            kind=parse_kind(fields["kind"]) if "kind" in fields else None,
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: ctx line missing {exc}") from None
-    return ErrorFunction(genome, ctx)
+        kind = parse_kind(fields["kind"]) if "kind" in fields else None
+    except ValueError as exc:
+        raise ValueError(f"{path}:3: {exc}") from None
+    return ErrorFunction(genome, EvalContext(**numbers, kind=kind))

@@ -150,7 +150,7 @@ def build_sudoku(
         reference = icn.alldifferent_reference_genome()
         if genome is None:
             genome = reference
-        if variant == "icn_hardcoded" and genome.bits != reference.bits:
+        if variant == "icn_hardcoded" and genome != reference:
             raise ValueError(
                 "no hard-coded equivalent for this genome; only "
                 f"{icn.describe_genome(reference)} is coded directly"
@@ -214,6 +214,9 @@ def solve(
     iterations = 0
     restarts = 0
     errors = np.zeros(ncons + 1, dtype=np.int64)
+    # A variable with a one-value domain cannot move: it stays tabu for good.
+    fixed = np.array([lo == hi for lo, hi in domains], dtype=bool)
+    movable = np.flatnonzero(~fixed)
     tabu_until = np.zeros(nvars, dtype=np.int64)
 
     def finish(status, assignment):
@@ -226,6 +229,7 @@ def solve(
             errors[ci] = con.error_batch(assignment[scopes[ci]][None])[0]
         total = int(errors.sum())
         tabu_until[:] = 0
+        tabu_until[fixed] = np.iinfo(np.int64).max
         best_total = total
         since_improvement = 0
 
@@ -249,7 +253,9 @@ def solve(
                 # Everything informative is tabu; pick any free variable.
                 candidates = np.flatnonzero(~blocked)
                 if len(candidates) == 0:
-                    candidates = np.arange(nvars)
+                    if len(movable) == 0:
+                        return finish("timeout", None)
+                    candidates = movable
             var = int(candidates[0]) if len(candidates) == 1 else int(rng.choice(candidates))
 
             # A move always changes the variable; allowing it to stay put
@@ -309,8 +315,7 @@ def derive_seeds(master_seed: int, count: int) -> list[int]:
 
 
 def _run_one(args) -> tuple:
-    k, variant, genome_bits, timeout_ms, run, seed, tenure, plateau = args
-    genome = Genome(genome_bits) if genome_bits is not None else None
+    k, variant, genome, timeout_ms, run, seed, tenure, plateau = args
     model = build_sudoku(k, variant, genome=genome)
     outcome = solve(model, timeout_ms, seed, tabu_tenure=tenure, plateau_budget=plateau)
     return (run, seed, outcome.status, outcome.elapsed_ms, outcome.iterations, outcome.restarts)
@@ -334,16 +339,7 @@ def benchmark_sudoku(
     build_sudoku(k, variant, genome=genome)  # validate arguments up front
     seeds = derive_seeds(seed, runs)
     tasks = [
-        (
-            k,
-            variant,
-            genome.bits if genome is not None else None,
-            timeout_ms,
-            run,
-            seeds[run],
-            tabu_tenure,
-            plateau_budget,
-        )
+        (k, variant, genome, timeout_ms, run, seeds[run], tabu_tenure, plateau_budget)
         for run in range(runs)
     ]
     if jobs > 1:

@@ -323,9 +323,12 @@ def save_space(space: LabeledSpace, path) -> None:
 
 def _int_token(path, ln: int, token: str) -> int:
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise ValueError(f"{path}:{ln}: {token!r} is not an integer") from None
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{path}:{ln}: {token!r} does not fit a 64-bit integer")
+    return value
 
 
 def load_space(path) -> LabeledSpace:

@@ -47,9 +47,24 @@ def brute_force_hamming(kind, p, lo, hi, x):
     return best
 
 
-def straight_line_eval(bits, n, d, p, x):
-    """Naive re-implementation of the 31-operation network, loop by loop."""
+def genome_bits(value):
+    """The 31 bits of a genome int as a list, bit position 0 first (the
+    most significant bit)."""
+    return [int(b) for b in format(value, "031b")]
+
+
+def straight_line_eval(bits, n, d, p, x, ceiling=None):
+    """Naive re-implementation of the 31-operation network, loop by loop.
+
+    Arithmetic is exact unless ceiling is given; then values saturate at
+    +-ceiling after the first factor and every product of the multiply
+    path, after the Sum aggregation, and at the output.
+    """
     assert len(bits) == 31 and len(x) == n
+
+    def sat(value):
+        return value if ceiling is None else max(-ceiling, min(ceiling, value))
+
     vectors = []
     for t in range(18):
         if not bits[t]:
@@ -97,20 +112,26 @@ def straight_line_eval(bits, n, d, p, x):
     assert bits[18] + bits[19] == 1
     combined = []
     for i in range(n):
-        if bits[18]:
+        if bits[18] or len(vectors) == 1:
             combined.append(sum(v[i] for v in vectors))
         else:
-            combined.append(math.prod(v[i] for v in vectors))
+            product = sat(vectors[0][i])
+            for v in vectors[1:]:
+                product = sat(product * v[i])
+            combined.append(product)
 
     assert bits[20] + bits[21] == 1
     if bits[20]:
-        y = sum(combined)
+        y = sat(sum(combined))
     else:
         y = sum(1 for value in combined if value > 0)
 
     comp = [c for c in range(22, 31) if bits[c]]
     assert len(comp) == 1
-    c = comp[0] - 22
+    return sat(_compare(comp[0] - 22, y, n, d, p))
+
+
+def _compare(c, y, n, d, p):
     if c == 0:
         return abs(y)
     if c == 1:

@@ -14,7 +14,7 @@ import pytest
 from efkit import concepts, ga, hamming, icn, solver, spaces
 from efkit.concepts import ConstraintInstance, ConstraintKind
 
-from oracles import straight_line_eval
+from oracles import genome_bits, straight_line_eval
 
 MASTER_SEED = 42
 JOBS = 2
@@ -197,7 +197,7 @@ def test_criterion_07_ga_invariant_suite():
         trace = first.loss_trace
         assert all(b <= a for a, b in zip(trace, trace[1:])), c
         again = ga.learn(space, cfg)
-        assert again.best_genome.bits == first.best_genome.bits
+        assert again.best_genome == first.best_genome
         assert again.loss_trace == first.loss_trace
         assert again.generations_run == first.generations_run
     report(
@@ -231,7 +231,7 @@ def test_criterion_08_loss_arithmetic():
     worst = 0.0
     for genome in genomes:
         expected_dev = sum(
-            abs(straight_line_eval(genome.bits, c.n, c.d, c.p, list(row)) - int(cost))
+            abs(straight_line_eval(genome_bits(genome.value), c.n, c.d, c.p, list(row)) - int(cost))
             for row, cost in zip(rows, costs)
         )
         expected = expected_dev + 0.9 * genome.count() / 31

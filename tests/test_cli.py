@@ -177,6 +177,48 @@ def test_eval_directory_and_kind_mismatch(tmp_path, alldiff_space, capsys):
     assert code == 1
 
 
+def test_eval_rejects_malformed_genome_file(tmp_path, alldiff_space, capsys):
+    genome = tmp_path / "bad.genome.txt"
+    genome.write_text("icn-genome v1\n0100000000000000001001100000000\nctx n=4 d=5 p=0 lo=1 n=9\n")
+    assert run_cli("eval", "--genome", str(genome), "--space", str(alldiff_space)) == 1
+    assert f"{genome}:3: duplicate ctx key 'n'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("crossover_rate=abc", "crossover_rate must be a number, got 'abc'"),
+        ("steady_stop=1.5", "steady_stop must be an integer, got '1.5'"),
+        ("rng_seed=7", "the GA seed is set by --seed"),
+        ("selection_tournament_size=2", "expected `<population_size|"),
+    ],
+)
+def test_learn_config_file_errors_name_file_and_line(tmp_path, alldiff_space, capsys, line, message):
+    config = tmp_path / "ga.cfg"
+    config.write_text(f"# GA overrides\nmutation_rate=0.5\n{line}\n")
+    out_dir = tmp_path / "runs"
+    assert run_cli(*learn_args(alldiff_space, out_dir, runs=1), "--config", str(config)) == 1
+    assert f"{config}:3: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_learn_config_file_and_flags_reach_the_manifest(tmp_path, alldiff_space):
+    config = tmp_path / "ga.cfg"
+    config.write_text("mutation_rate=0.5\nsteady_stop=3\n")
+    out_dir = tmp_path / "runs"
+    assert run_cli(*learn_args(alldiff_space, out_dir, runs=1), "--config", str(config)) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["config"]["ga_config"] == {
+        "population_size": 60,
+        "max_generations": 40,
+        "steady_stop": 10,  # the flag wins over the file
+        "crossover_rate": 0.4,
+        "mutation_rate": 0.5,
+        "elite_fraction": 0.17,
+        "rng_seed": 5,
+    }
+
+
 def test_solve_writes_csv(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert run_cli(

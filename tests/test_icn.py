@@ -1,7 +1,10 @@
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from efkit import icn
 from efkit.concepts import ConstraintInstance, ConstraintKind
@@ -25,28 +28,23 @@ from efkit.icn import (
     save_genome,
     validate,
 )
-from efkit.spaces import LabeledSpace, enumerate_complete, lhs_sample
+from efkit.spaces import LabeledSpace, enumerate_complete, lhs_sample, load_space
 
-from oracles import straight_line_eval
+from oracles import genome_bits, straight_line_eval
 
 ALLDIFF_CTX = EvalContext(n=4, d=5, p=0, lo=1)
 
 
 def bits_of(**layers):
-    bits = [0] * 31
-    for idx in layers.get("t", []):
-        bits[idx] = 1
-    for idx in layers.get("a", []):
-        bits[18 + idx] = 1
-    for idx in layers.get("g", []):
-        bits[20 + idx] = 1
-    for idx in layers.get("c", []):
-        bits[22 + idx] = 1
-    return Genome(tuple(bits))
+    bits = ["0"] * 31
+    for layer, start in (("t", 0), ("a", 18), ("g", 20), ("c", 22)):
+        for idx in layers.get(layer, []):
+            bits[start + idx] = "1"
+    return Genome(int("".join(bits), 2))
 
 
 def test_validate():
-    assert not validate(Genome((0,) * 31))
+    assert not validate(Genome(0))
     assert validate(alldifferent_reference_genome())
     two_comparisons = bits_of(t=[1], a=[0], g=[1], c=[0, 3])
     assert not validate(two_comparisons)
@@ -57,15 +55,15 @@ def test_validate():
 def test_repair():
     rng = random.Random(0)
     valid = alldifferent_reference_genome()
-    assert repair(valid, rng).bits == valid.bits
+    assert repair(valid, rng) == valid
 
     three_comparisons = bits_of(t=[2], a=[1], g=[0], c=[1, 4, 7])
     fixed = repair(three_comparisons, rng)
     assert validate(fixed)
-    kept = fixed.selected(icn.C_SLICE)
-    assert len(kept) == 1 and kept[0] in (1, 4, 7)
+    assert fixed.layers.comparison in (1, 4, 7)
+    assert fixed.layers[:3] == ((2,), 1, 0)
 
-    fixed = repair(Genome((0,) * 31), rng)
+    fixed = repair(Genome(0), rng)
     assert validate(fixed)
     assert fixed.count() == 4
 
@@ -75,7 +73,7 @@ def test_repair_keeps_one_uniformly():
     rng = random.Random(12)
     seen = {1: 0, 4: 0, 7: 0}
     for _ in range(3000):
-        seen[repair(genome, rng).selected(icn.C_SLICE)[0]] += 1
+        seen[repair(genome, rng).layers.comparison] += 1
     for count in seen.values():
         assert abs(count / 3000 - 1 / 3) < 0.05
 
@@ -102,30 +100,13 @@ def test_evaluate_arity_mismatch():
 
 def test_invalid_genome_rejected():
     with pytest.raises(ValueError):
-        ErrorFunction(Genome((0,) * 31), ALLDIFF_CTX)
+        ErrorFunction(Genome(0), ALLDIFF_CTX)
     with pytest.raises(ValueError):
-        Genome((0,) * 30)
+        Genome(1 << 31)  # 32 bits
     with pytest.raises(ValueError):
-        Genome((0, 2) + (0,) * 29)
-
-
-def test_evaluate_matches_straight_line_reimplementation():
-    """Random valid genomes vs the naive loop oracle, several contexts."""
-    rng = random.Random(7)
-    contexts = [
-        EvalContext(n=4, d=5, p=0, lo=1),
-        EvalContext(n=4, d=5, p=3, lo=1),
-        EvalContext(n=6, d=4, p=2, lo=-1),
-        EvalContext(n=3, d=9, p=7, lo=0),
-    ]
-    for _ in range(120):
-        genome = repair(Genome(tuple(rng.randint(0, 1) for _ in range(31))), rng)
-        ctx = rng.choice(contexts)
-        f = ErrorFunction(genome, ctx)
-        for _ in range(6):
-            x = [rng.randint(ctx.lo, ctx.lo + ctx.d - 1) for _ in range(ctx.n)]
-            expected = straight_line_eval(genome.bits, ctx.n, ctx.d, ctx.p, x)
-            assert f.evaluate(x) == expected, (genome.bits, ctx, x)
+        Genome(-1)
+    with pytest.raises(ValueError):
+        Genome((0,) * 31)  # a bit tuple is not a genome
 
 
 def test_evaluate_batch_matches_scalar():
@@ -150,20 +131,6 @@ def test_describe_reference_forms():
     assert describe_genome(added) == "Count>0( count_eq_right + lt_p )"
 
 
-def test_describe_parse_round_trip_canonical():
-    rng = random.Random(11)
-    for _ in range(200):
-        genome = repair(Genome(tuple(rng.randint(0, 1) for _ in range(31))), rng)
-        text = describe_genome(genome)
-        parsed = parse_describe(text)
-        # String-level round trip always holds; the genome itself round-trips
-        # whenever the arithmetic choice is observable (at least two
-        # transformations selected) or already the canonical `add`.
-        assert describe_genome(parsed) == text
-        if len(genome.selected(icn.T_SLICE)) > 1 or genome.selected(icn.A_SLICE) == [0]:
-            assert parsed.bits == genome.bits
-
-
 def test_parse_describe_rejects_noise():
     with pytest.raises(ValueError):
         parse_describe("Sum( not_an_op )")
@@ -174,8 +141,8 @@ def test_parse_describe_rejects_noise():
 
 
 def test_regularization_values():
-    assert regularization(Genome((0,) * 31)) == 0.0
-    assert regularization(Genome((1,) * 31)) == pytest.approx(0.9)
+    assert regularization(Genome(0)) == 0.0
+    assert regularization(Genome(2**31 - 1)) == pytest.approx(0.9)
     four = alldifferent_reference_genome()
     assert regularization(four) == pytest.approx(0.9 * 4 / 31)
 
@@ -210,7 +177,7 @@ def test_loss_requires_costs_and_validity():
     with pytest.raises(ValueError):
         loss(alldifferent_reference_genome(), space)
     with pytest.raises(ValueError):
-        loss(Genome((0,) * 31), alldiff_space_with_costs())
+        loss(Genome(0), alldiff_space_with_costs())
 
 
 def test_clearing_redundant_bit_shifts_loss_by_one_slot():
@@ -318,7 +285,7 @@ def test_genome_file_round_trip(tmp_path):
     assert text[3] == "# Euclid_p( Sum( identity ) )"
 
     loaded = load_genome(path)
-    assert loaded.genome.bits == f.genome.bits
+    assert loaded.genome == f.genome
     assert loaded.ctx == f.ctx
     path2 = tmp_path / "fn2.genome.txt"
     save_genome(loaded, path2)
@@ -336,3 +303,221 @@ def test_genome_file_rejects_malformed(tmp_path):
     path.write_text(f"icn-genome v1\n{'0' * 31}\nn=4 d=5\n")
     with pytest.raises(ValueError):
         load_genome(path)
+
+
+GOOD_BITS = "0100000000000000001001100000000"  # Count>0( count_eq_right )
+
+
+@pytest.mark.parametrize(
+    "bits, ctx_line, line, message",
+    [
+        (GOOD_BITS, "ctx n=4 d=x p=0 lo=1", 3, "ctx d must be an integer"),
+        (GOOD_BITS, "ctx n=4 d=5 p=0 lo=1 n=9", 3, "duplicate ctx key 'n'"),
+        (GOOD_BITS, "ctx n=4 d=5 p=0 lo=1 scale=2", 3, "unknown ctx key 'scale'"),
+        (GOOD_BITS, "ctx n=0 d=5 p=0 lo=1", 3, "n and d must be at least 1"),
+        (GOOD_BITS, "ctx n=4 d=0 p=0 lo=1", 3, "n and d must be at least 1"),
+        (GOOD_BITS, "ctx n=4 d=5 p=0", 3, "ctx line missing 'lo'"),
+        (GOOD_BITS, "ctx n=4 d=5 p=0 lo=1 kind=banana", 3, "unknown constraint kind"),
+        ("0100000000000000001001100000001", "ctx n=4 d=5 p=0 lo=1", 2, "breaks the layer rules"),
+    ],
+    ids=["non-integer", "duplicate-key", "unknown-key", "n-below-1", "d-below-1",
+         "missing-key", "unknown-kind", "layer-rules"],
+)
+def test_genome_file_rejections_name_file_and_line(tmp_path, bits, ctx_line, line, message):
+    path = tmp_path / "bad.genome.txt"
+    path.write_text(f"icn-genome v1\n{bits}\n{ctx_line}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: .*{re.escape(message)}"):
+        load_genome(path)
+
+
+# ---------------------------------------------------------------------------
+# Property tests
+# ---------------------------------------------------------------------------
+
+# Derandomized, so that every run of the suite draws the same examples.
+PROPERTY = settings(deadline=None, derandomize=True)
+CEILING = 2**31 - 1
+LAYER_BOUNDS = ((0, 18), (18, 20), (20, 22), (22, 31))
+
+valid_genomes = st.builds(
+    lambda t, a, g, c: genome_from_names(
+        [icn.TRANSFORMATION_NAMES[i] for i in sorted(t)],
+        icn.ARITHMETIC_NAMES[a],
+        icn.AGGREGATION_NAMES[g],
+        icn.COMPARISON_NAMES[c],
+    ),
+    st.sets(st.integers(0, 17), min_size=1),
+    st.integers(0, 1),
+    st.integers(0, 1),
+    st.integers(0, 8),
+)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(value=st.integers(0, 2**31 - 1), seed=st.integers(0, 2**32))
+def test_repair_fixes_only_broken_layers(value, seed):
+    fixed = repair(Genome(value), random.Random(seed))
+    before, after = format(value, "031b"), format(fixed.value, "031b")
+    assert validate(fixed)
+    for layer, (start, stop) in enumerate(LAYER_BOUNDS):
+        old, new = before[start:stop], after[start:stop]
+        ones = [i for i, b in enumerate(old) if b == "1"]
+        if ones and (layer == 0 or len(ones) == 1):
+            assert new == old  # layer already obeyed the rules
+        elif ones:
+            assert new.count("1") == 1 and new.index("1") in ones
+        else:
+            assert new.count("1") == 1
+    if validate(Genome(value)):
+        assert fixed == Genome(value)
+
+
+@st.composite
+def contexts_and_rows(draw):
+    n = draw(st.integers(1, 7))
+    lo = draw(st.integers(-60, 60))
+    d = draw(st.integers(1, 60))
+    p = draw(st.integers(lo - 10, lo + d + 10))  # p may lie outside the domain
+    rows = draw(st.lists(st.lists(st.integers(lo, lo + d - 1), min_size=n, max_size=n), min_size=1, max_size=4))
+    return EvalContext(n=n, d=d, p=p, lo=lo), rows
+
+
+# Products that pass the saturation ceiling. In the first, two saturated
+# positive products and one saturated negative product are summed, which
+# tells clamping after every product from clamping only the sum.
+SATURATING_MIXED = (
+    genome_from_names(["identity", "max_with_next", "min_with_next", "gap_above_p"], "mul", "Sum", "identity"),
+    (EvalContext(n=4, d=2119, p=-40, lo=-1059), [[1059, 1059, 1058, -3], [1059] * 4]),
+)
+SATURATING_NEGATIVE = (
+    genome_from_names(["identity", "max_with_next", "min_with_next", "gap_below_p"], "mul", "Sum", "AbsDiff_p"),
+    (EvalContext(n=4, d=60, p=5, lo=-1059), [[-1000, -1059, -1001, -1058], [-1059] * 4]),
+)
+
+
+@settings(PROPERTY, max_examples=250)
+@given(genome=valid_genomes, case=contexts_and_rows())
+@example(*SATURATING_MIXED)
+@example(*SATURATING_NEGATIVE)
+def test_evaluate_matches_straight_line_reimplementation(genome, case):
+    """Valid genomes vs the naive loop oracle, which saturates as the
+    network does."""
+    ctx, rows = case
+    out = icn.network_outputs(genome, ctx, np.array(rows, dtype=np.int64))
+    bits = genome_bits(genome.value)
+    expected = [straight_line_eval(bits, ctx.n, ctx.d, ctx.p, row, ceiling=CEILING) for row in rows]
+    assert out.tolist() == expected
+    assert ErrorFunction(genome, ctx).evaluate(rows[0]) == expected[0]
+
+
+@settings(PROPERTY, max_examples=200)
+@given(genome=valid_genomes)
+def test_describe_parse_round_trip_canonical(genome):
+    text = describe_genome(genome)
+    parsed = parse_describe(text)
+    # String-level round trip always holds; the genome itself round-trips
+    # whenever the arithmetic choice is observable (at least two
+    # transformations selected) or already the canonical `add`.
+    assert describe_genome(parsed) == text
+    if len(genome.layers.transformations) > 1 or genome.layers.arithmetic == 0:
+        assert parsed == genome
+
+
+@settings(PROPERTY, max_examples=100)
+@given(
+    genome=valid_genomes,
+    ctx=st.builds(
+        EvalContext,
+        n=st.integers(1, 10**6),
+        d=st.integers(1, 10**6),
+        p=st.integers(-(10**6), 10**6),
+        lo=st.integers(-(10**6), 10**6),
+        kind=st.none() | st.sampled_from(ConstraintKind),
+    ),
+)
+def test_genome_file_round_trip_property(tmp_path_factory, genome, ctx):
+    path = tmp_path_factory.getbasetemp() / "property.genome.txt"
+    f = ErrorFunction(genome, ctx)
+    save_genome(f, path)
+    text = path.read_bytes()
+    loaded = load_genome(path)
+    assert loaded == f
+    save_genome(loaded, path)
+    assert path.read_bytes() == text
+
+
+def _rejects_only_with_value_error(loader, path, text):
+    path.write_text(text)
+    try:
+        loader(path)
+    except ValueError:
+        pass
+
+
+ctx_tokens = st.one_of(
+    st.builds(
+        "{}={}".format,
+        st.sampled_from(["n", "d", "p", "lo", "kind", "x", ""]),
+        st.one_of(st.integers(-(10**20), 10**20).map(str), st.sampled_from(["alldiff", "ordered", "", "1.5", "x"])),
+    ),
+    st.text(max_size=8),
+)
+genome_texts = st.one_of(
+    st.text(max_size=120),
+    st.builds(
+        "icn-genome v1\n{}\nctx {}\n{}".format,
+        st.one_of(st.text(alphabet="01", min_size=29, max_size=33), st.text(max_size=40)),
+        st.lists(ctx_tokens, max_size=7).map(" ".join),
+        st.text(max_size=20),
+    ),
+)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(text=genome_texts)
+def test_genome_loader_fuzz_raises_only_value_error(tmp_path_factory, text):
+    _rejects_only_with_value_error(load_genome, tmp_path_factory.getbasetemp() / "fuzz.genome.txt", text)
+
+
+numbers = st.one_of(st.integers(-3, 8), st.integers(-(10**20), 10**20)).map(str)
+header_tokens = st.one_of(
+    st.builds("{}={}".format, st.sampled_from(["kind", "n", "lo", "hi", "p", "complete", "x"]),
+              st.one_of(numbers, st.sampled_from(["alldiff", "linearsum", "minimum", "nooverlap", "ordered", ""]))),
+    st.text(max_size=8),
+)
+plausible_headers = st.builds(
+    "{} complete={}".format,
+    st.sampled_from([
+        "kind=alldiff n=3 lo=1 hi=3 p=0",
+        "kind=linearsum n=2 lo=-2 hi=2 p=1",
+        "kind=minimum n=3 lo=0 hi=4 p=2",
+        "kind=nooverlap n=2 lo=1 hi=5 p=2",
+        "kind=ordered n=2 lo=-1 hi=1 p=0",
+    ]),
+    st.sampled_from(["0", "1"]),
+)
+space_rows = st.one_of(
+    st.builds(
+        "{} | {} | {}".format,
+        st.lists(numbers, min_size=2, max_size=3).map(" ".join),
+        st.sampled_from(["0", "1", "2", ""]),
+        st.one_of(numbers, st.just("-")),
+    ),
+    st.text(max_size=20),
+)
+space_texts = st.one_of(
+    st.text(max_size=120),
+    st.builds(
+        lambda header, rows: "\n".join(["# constraint " + header, *rows]) + "\n",
+        plausible_headers | st.lists(header_tokens, max_size=7).map(" ".join),
+        st.lists(space_rows, max_size=6),
+    ),
+)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(text=space_texts)
+@example(text="# constraint kind=alldiff n=3 lo=1 hi=3 p=0 complete=0\n1 2 100000000000000000000 | 0 | 1\n")
+@example(text="# constraint kind=alldiff n=3 lo=1 hi=3 p=0 complete=0\n1 2 2 | 0 | 9223372036854775808\n")
+def test_space_loader_fuzz_raises_only_value_error(tmp_path_factory, text):
+    _rejects_only_with_value_error(load_space, tmp_path_factory.getbasetemp() / "fuzz.space.txt", text)

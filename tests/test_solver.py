@@ -127,6 +127,27 @@ def test_solve_timeout_is_a_normal_outcome():
         solve(m, timeout_ms=0, rng_seed=0)
 
 
+def test_solve_with_no_movable_variable_times_out_at_once():
+    # Both domains hold one value and the constraint is violated: no move
+    # exists, so the search gives up without waiting for the deadline.
+    cons = [Constraint(scope=(0, 1), error=lambda v: int(v[0] == v[1]), predicate=lambda v: v[0] != v[1])]
+    out = solve(EfspModel([(1, 1), (1, 1)], cons), timeout_ms=10000, rng_seed=0)
+    assert out.status == "timeout" and out.assignment is None
+    assert out.elapsed_ms < 1000
+
+
+def test_solve_never_moves_a_fixed_variable():
+    alldiff = Constraint(
+        scope=(0, 1, 2),
+        error=lambda v: len(v) - len(set(v)),
+        predicate=lambda v: len(set(v)) == len(v),
+    )
+    for seed in range(5):
+        out = solve(EfspModel([(2, 2), (1, 3), (1, 3)], [alldiff]), timeout_ms=10000, rng_seed=seed)
+        assert out.status == "solved"
+        assert out.assignment[0] == 2 and sorted(out.assignment[1:]) == [1, 3]
+
+
 def test_solve_sudoku_and_verify_independently():
     m = build_sudoku(3, "handcrafted")
     out = solve(m, timeout_ms=10000, rng_seed=11)

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -249,3 +250,41 @@ def test_load_space_rejects_with_file_and_line(tmp_path, row, message):
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}:3: ")) as info:
         load_space(path)
     assert message in str(info.value)
+
+
+
+# sha256 prefixes of `save_space` text at seeds 0 and 1, computed before the
+# samplers and the Hamming labeling were rewritten over shared helpers; any
+# change to the LHS streams, the kept rows or the costs shows here.
+GOLDEN_SPACES = {
+    "balanced-alldiff": ("fb19a791ba5f7f6a", "73d7f2243addf6f5"),
+    "balanced-linearsum": ("396049379170de98", "93313441c7d1a560"),
+    "direct-alldiff": ("23ef548aa1be9555", "cf24e57f1ccdb022"),
+    "direct-linearsum": ("1b75f9f94125d067", "8c73783662f107ae"),
+    "nearest-alldiff": ("ca30f8ffd2ce07a4", "ab78c4f8a4824b9f"),
+    "nearest-linearsum": ("190521d030639add", "0254e37037963cc8"),
+}
+
+
+def test_sampled_space_golden_files(tmp_path):
+    from efkit.hamming import label_space_costs, solution_set_from_space
+
+    alldiff5 = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 5, 1, 6)
+    linear4 = ConstraintInstance(ConstraintKind.LINEAR_SUM, 4, 1, 5, p=12)
+    alldiff20 = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 20, 1, 20)
+
+    def digest(space):
+        path = tmp_path / "space.txt"
+        save_space(space, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+    got = {name: [] for name in GOLDEN_SPACES}
+    for seed in (0, 1):
+        for name, c, k in (("alldiff", alldiff5, 30), ("linearsum", linear4, 20)):
+            space = sample_balanced(c, k, rng_seed=seed)
+            got[f"balanced-{name}"].append(digest(space))
+            labeled = label_space_costs(space, solution_set_from_space(space))
+            got[f"nearest-{name}"].append(digest(labeled))
+        for name, c, k in (("alldiff", alldiff20, 40), ("linearsum", linear4, 20)):
+            got[f"direct-{name}"].append(digest(sample_balanced_direct(c, k, rng_seed=seed)))
+    assert {name: tuple(d) for name, d in got.items()} == GOLDEN_SPACES

@@ -15,8 +15,6 @@ import statistics
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, concepts, ga, hamming, icn, solver, spaces, util
 from .spaces import EnumerationCapError, SamplingExhaustedError
 
@@ -49,14 +47,10 @@ def cmd_gen_space(args) -> int:
     mode = args.costs
     if mode == "auto":
         mode = "exact" if space.complete else "nearest"
-    if mode == "exact":
-        if not space.complete:
-            raise ValueError("--costs exact needs a complete space; use nearest or reference")
-        sols = hamming.solution_set_from_space(space)
-        space = hamming.label_space_costs(space, sols)
-    elif mode == "nearest":
-        sols = hamming.solution_set_from_space(space)
-        space = hamming.label_space_costs(space, sols)
+    if mode == "exact" and not space.complete:
+        raise ValueError("--costs exact needs a complete space; use nearest or reference")
+    if mode in ("exact", "nearest"):
+        space = hamming.label_space_costs(space, hamming.solution_set_from_space(space))
     elif mode == "reference":
         space = hamming.label_space_costs_reference(space)
     out = Path(args.out)

@@ -42,6 +42,10 @@ _PARAMETRIC_KINDS = frozenset(
 )
 
 
+# Bound on n * max(|lo|, |hi|, |p|): every row sum and p - sum then fits int64.
+_INT64_SAFE = 2**62
+
+
 def parse_kind(name: str) -> ConstraintKind:
     try:
         return _KIND_ALIASES[name.strip().lower()]
@@ -70,6 +74,10 @@ class ConstraintInstance:
             raise ValueError(f"{self.kind.value} takes no parameter; p must be 0")
         if self.kind is ConstraintKind.NO_OVERLAP_1D and self.p < 1:
             raise ValueError("nooverlap task length p must be >= 1")
+        if self.n * max(abs(self.lo), abs(self.hi), abs(self.p)) >= _INT64_SAFE:
+            raise ValueError(
+                "n * max(|lo|, |hi|, |p|) must be below 2^62, so that row sums fit 64 bits"
+            )
 
     @property
     def d(self) -> int:
@@ -84,30 +92,23 @@ class ConstraintInstance:
                 raise ValueError(f"value {v} outside domain [{self.lo}, {self.hi}]")
 
 
+def _rows(c: ConstraintInstance, xs) -> np.ndarray:
+    xs = np.asarray(xs, dtype=np.int64)
+    if xs.ndim != 2 or xs.shape[1] != c.n:
+        raise ValueError(f"expected shape (m, {c.n}), got {xs.shape}")
+    return xs
+
+
 def concept_holds(c: ConstraintInstance, x: Sequence[int]) -> bool:
-    """True iff the assignment x satisfies the constraint c."""
+    """True iff the assignment x satisfies the constraint c (one-row
+    concept_holds_batch)."""
     c.check_assignment(x)
-    if c.kind is ConstraintKind.ALL_DIFFERENT:
-        return len(set(x)) == len(x)
-    if c.kind is ConstraintKind.LINEAR_SUM:
-        return sum(x) == c.p
-    if c.kind is ConstraintKind.MINIMUM:
-        return min(x) >= c.p
-    if c.kind is ConstraintKind.NO_OVERLAP_1D:
-        # Tasks of equal length p must not overlap; equivalent to pairwise
-        # start-time gaps of at least p.
-        s = sorted(x)
-        return all(s[i + 1] - s[i] >= c.p for i in range(len(s) - 1))
-    if c.kind is ConstraintKind.ORDERED:
-        return all(x[i] <= x[i + 1] for i in range(len(x) - 1))
-    raise AssertionError(c.kind)
+    return bool(concept_holds_batch(c, [x])[0])
 
 
 def concept_holds_batch(c: ConstraintInstance, xs: np.ndarray) -> np.ndarray:
     """Vectorized concept predicate over a (m, n) assignment matrix."""
-    xs = np.asarray(xs)
-    if xs.ndim != 2 or xs.shape[1] != c.n:
-        raise ValueError(f"expected shape (m, {c.n}), got {xs.shape}")
+    xs = _rows(c, xs)
     if c.kind is ConstraintKind.ALL_DIFFERENT:
         s = np.sort(xs, axis=1)
         return ~np.any(s[:, 1:] == s[:, :-1], axis=1)
@@ -136,57 +137,26 @@ def _longest_nondecreasing_run(x: Sequence[int]) -> int:
     return len(tails)
 
 
-def _linear_sum_cost(c: ConstraintInstance, x: Sequence[int]) -> int:
-    total = sum(x)
-    delta = c.p - total
-    if delta == 0:
-        return 0
-    if not c.n * c.lo <= c.p <= c.n * c.hi:
-        raise ValueError(f"linearsum with p={c.p} has no solution on {c.n} x [{c.lo}, {c.hi}]")
-    if delta > 0:
-        room = sorted((c.hi - v for v in x), reverse=True)
-    else:
-        room = sorted((v - c.lo for v in x), reverse=True)
-    need = abs(delta)
-    covered = 0
-    for k, r in enumerate(room, start=1):
-        covered += r
-        if covered >= need:
-            return k
-    raise AssertionError("satisfiability check guarantees coverage")
-
-
 def hamming_reference(c: ConstraintInstance, x: Sequence[int]) -> int:
-    """Exact Hamming cost of x by a per-kind closed form.
+    """Exact Hamming cost of x: one-row reference_costs_batch where a closed
+    form is known.
 
     NoOverlap1D has no trusted closed form and is answered by the generic
     enumeration oracle, as is AllDifferent when the domain is too small for
     the counting argument (d < n).
     """
     c.check_assignment(x)
-    if c.kind is ConstraintKind.ALL_DIFFERENT and c.d >= c.n:
-        return c.n - len(set(x))
-    if c.kind is ConstraintKind.MINIMUM:
-        if c.p > c.hi:
-            raise ValueError(f"minimum with p={c.p} > hi={c.hi} has no solution")
-        return sum(1 for v in x if v < c.p)
-    if c.kind is ConstraintKind.ORDERED:
-        return c.n - _longest_nondecreasing_run(x)
-    if c.kind is ConstraintKind.LINEAR_SUM:
-        return _linear_sum_cost(c, x)
-    # NoOverlap1D, or AllDifferent with d < n: fall back to enumeration.
+    if has_closed_form(c):
+        return int(reference_costs_batch(c, [x])[0])
     from . import hamming
 
-    sols = hamming.exhaustive_solution_set(c)
-    return hamming.exact_hamming(x, sols)
+    return hamming.exact_hamming(x, hamming.exhaustive_solution_set(c))
 
 
 def reference_costs_batch(c: ConstraintInstance, xs: np.ndarray) -> np.ndarray:
     """Closed-form Hamming costs for a (m, n) matrix; kinds without a closed
     form are rejected (use the enumeration/sampling oracles instead)."""
-    xs = np.asarray(xs, dtype=np.int64)
-    if xs.ndim != 2 or xs.shape[1] != c.n:
-        raise ValueError(f"expected shape (m, {c.n}), got {xs.shape}")
+    xs = _rows(c, xs)
     if c.kind is ConstraintKind.ALL_DIFFERENT and c.d >= c.n:
         s = np.sort(xs, axis=1)
         distinct = 1 + (s[:, 1:] != s[:, :-1]).sum(axis=1)
@@ -220,26 +190,47 @@ def has_closed_form(c: ConstraintInstance) -> bool:
     )
 
 
-def parse_constraint_line(line: str) -> ConstraintInstance:
-    """Parse a `kind=<name> n=<int> lo=<int> hi=<int> p=<int>` description."""
-    fields = {}
-    for token in line.split():
-        if "=" not in token:
-            raise ValueError(f"malformed constraint token {token!r}")
-        key, _, value = token.partition("=")
+CONSTRAINT_KEYS = ("kind", "n", "lo", "hi", "p")
+
+
+def parse_fields(
+    text: str, what: str, required: Sequence[str], optional: Sequence[str] = ()
+) -> dict[str, str]:
+    """Split `key=value` tokens into a dict. A token without `=`, a key
+    outside required + optional, a repeated key and a missing required key
+    are ValueErrors; `what` names the line in their messages."""
+    fields: dict[str, str] = {}
+    for token in text.split():
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise ValueError(f"{what} token {token!r} is not key=value")
+        if key not in required and key not in optional:
+            raise ValueError(f"unknown {what} key {key!r}")
+        if key in fields:
+            raise ValueError(f"duplicate {what} key {key!r}")
         fields[key] = value
-    missing = {"kind", "n", "lo", "hi"} - fields.keys()
-    if missing:
-        raise ValueError(f"constraint line missing {sorted(missing)}")
+    for key in required:
+        if key not in fields:
+            raise ValueError(f"{what} line missing {key!r}")
+    return fields
+
+
+def constraint_from_fields(fields: dict[str, str]) -> ConstraintInstance:
+    """The instance described by parsed kind, n, lo, hi and optional p fields."""
     kind = parse_kind(fields["kind"])
     try:
-        n = int(fields["n"])
-        lo = int(fields["lo"])
-        hi = int(fields["hi"])
+        n, lo, hi = (int(fields[key]) for key in ("n", "lo", "hi"))
         p = int(fields.get("p", "0"))
     except ValueError as exc:
         raise ValueError(f"bad integer in constraint line: {exc}") from None
     return ConstraintInstance(kind=kind, n=n, lo=lo, hi=hi, p=p)
+
+
+def parse_constraint_line(line: str) -> ConstraintInstance:
+    """Parse a `kind=<name> n=<int> lo=<int> hi=<int> p=<int>` description."""
+    return constraint_from_fields(
+        parse_fields(line, "constraint", CONSTRAINT_KEYS[:4], CONSTRAINT_KEYS[4:])
+    )
 
 
 def format_constraint_line(c: ConstraintInstance) -> str:

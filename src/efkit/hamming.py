@@ -70,27 +70,25 @@ def nearest_distances(queries: np.ndarray, solutions: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_solutions(s: SolutionSet) -> None:
+    if len(s) == 0:
+        raise UnsatisfiableConstraintError(
+            f"{concepts.format_constraint_line(s.constraint)} has no solution in the set"
+        )
+
+
 def exact_hamming(x: Sequence[int], s: SolutionSet) -> int:
     """Minimum number of coordinates to reassign to reach a solution."""
     if not s.exhaustive:
         raise ValueError("exact Hamming needs an exhaustive solution set")
-    if len(s) == 0:
-        raise UnsatisfiableConstraintError(
-            f"{concepts.format_constraint_line(s.constraint)} has no solution"
-        )
-    x = np.asarray(x, dtype=np.int64)
-    return int(nearest_distances(x[None, :], s.solutions)[0])
+    return approx_hamming(x, s)
 
 
 def approx_hamming(x: Sequence[int], s: SolutionSet) -> int:
     """Distance to the closest sampled solution; an upper bound on the
     exact cost, and 0 whenever x itself is in the sample."""
-    if len(s) == 0:
-        raise UnsatisfiableConstraintError(
-            f"{concepts.format_constraint_line(s.constraint)} has no sampled solution"
-        )
-    x = np.asarray(x, dtype=np.int64)
-    return int(nearest_distances(x[None, :], s.solutions)[0])
+    _require_solutions(s)
+    return int(nearest_distances(np.asarray([x], dtype=np.int64), s.solutions)[0])
 
 
 def label_space_costs(space: LabeledSpace, s: SolutionSet) -> LabeledSpace:
@@ -107,10 +105,7 @@ def label_space_costs(space: LabeledSpace, s: SolutionSet) -> LabeledSpace:
         )
     if len(space) == 0:
         return space.with_costs(np.zeros(0, dtype=np.int64))
-    if len(s) == 0:
-        raise UnsatisfiableConstraintError(
-            f"{concepts.format_constraint_line(space.constraint)} has no solution"
-        )
+    _require_solutions(s)
     costs = np.zeros(len(space), dtype=np.int64)
     non = ~space.labels
     if non.any():

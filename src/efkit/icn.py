@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .concepts import ConstraintInstance, ConstraintKind, parse_kind
+from .concepts import ConstraintInstance, ConstraintKind, parse_fields, parse_kind
 from .spaces import LabeledSpace
 
 GENOME_LENGTH = 31
@@ -494,8 +494,8 @@ def save_genome(f: ErrorFunction, path) -> None:
 def load_genome(path) -> ErrorFunction:
     """Read a genome file, rejecting with the file and line: a bit line that
     is not 31 0/1 characters or breaks the layer rules, and a ctx line with
-    an unknown or repeated key, a missing or non-integer n, d, p or lo,
-    n or d below 1, or an unknown kind."""
+    a token that is not key=value, an unknown or repeated key, an unknown
+    kind, a missing or non-integer n, d, p or lo, or n or d below 1."""
     lines = Path(path).read_text().splitlines()
     if len(lines) < 3 or lines[0].strip() != _GENOME_MAGIC:
         raise ValueError(f"{path}: not a {_GENOME_MAGIC} file")
@@ -508,18 +508,13 @@ def load_genome(path) -> ErrorFunction:
     ctx_line = lines[2].strip()
     if not ctx_line.startswith("ctx "):
         raise ValueError(f"{path}:3: ctx line must start with `ctx `")
-    fields: dict[str, str] = {}
-    for token in ctx_line[4:].split():
-        key, _, value = token.partition("=")
-        if key not in ("n", "d", "p", "lo", "kind"):
-            raise ValueError(f"{path}:3: unknown ctx key {key!r}")
-        if key in fields:
-            raise ValueError(f"{path}:3: duplicate ctx key {key!r}")
-        fields[key] = value
+    try:
+        fields = parse_fields(ctx_line[4:], "ctx", ("n", "d", "p", "lo"), ("kind",))
+        kind = parse_kind(fields["kind"]) if "kind" in fields else None
+    except ValueError as exc:
+        raise ValueError(f"{path}:3: {exc}") from None
     numbers = {}
     for key in ("n", "d", "p", "lo"):
-        if key not in fields:
-            raise ValueError(f"{path}:3: ctx line missing {key!r}")
         try:
             numbers[key] = int(fields[key])
         except ValueError:
@@ -528,8 +523,4 @@ def load_genome(path) -> ErrorFunction:
             ) from None
     if numbers["n"] < 1 or numbers["d"] < 1:
         raise ValueError(f"{path}:3: ctx n and d must be at least 1")
-    try:
-        kind = parse_kind(fields["kind"]) if "kind" in fields else None
-    except ValueError as exc:
-        raise ValueError(f"{path}:3: {exc}") from None
     return ErrorFunction(genome, EvalContext(**numbers, kind=kind))

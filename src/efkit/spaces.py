@@ -10,16 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .concepts import (
+    CONSTRAINT_KEYS,
     ConstraintInstance,
     ConstraintKind,
     concept_holds_batch,
+    constraint_from_fields,
     format_constraint_line,
-    parse_constraint_line,
+    parse_fields,
 )
 
 DEFAULT_ENUMERATION_CAP = 10**7
@@ -156,6 +158,45 @@ def lhs_sample(c: ConstraintInstance, count: int, rng_seed: int) -> np.ndarray:
     return np.concatenate(parts, axis=0) if len(parts) > 1 else parts[0]
 
 
+def _draw_classes(
+    c: ConstraintInstance,
+    need_sol: int,
+    need_non: int,
+    rng: np.random.Generator,
+    draw_budget: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw LHS blocks until need_sol solutions and need_non non-solutions
+    are collected, never labeling more than draw_budget rows.
+
+    Returns the kept rows and their labels: the earliest-drawn rows of each
+    class, in draw order. Raises SamplingExhaustedError when the budget runs
+    out first.
+    """
+    kept_rows: list[np.ndarray] = []
+    kept_labels: list[np.ndarray] = []
+    n_sol = n_non = 0
+    drawn = 0
+    while n_sol < need_sol or n_non < need_non:
+        if drawn >= draw_budget:
+            raise SamplingExhaustedError(
+                f"draw budget of {draw_budget} exhausted with {n_sol}/{need_sol} solutions "
+                f"and {n_non}/{need_non} non-solutions for {format_constraint_line(c)}; "
+                "the class rate may be too low for balanced sampling"
+            )
+        block = min(_block_batches(c), max(1, -(-(draw_budget - drawn) // c.d)))
+        xs = _full_batch_block(c, block, rng)[: draw_budget - drawn]
+        drawn += len(xs)
+        labels = concept_holds_batch(c, xs)
+        sol_rows = np.flatnonzero(labels)[: need_sol - n_sol]
+        non_rows = np.flatnonzero(~labels)[: need_non - n_non]
+        sel = np.sort(np.concatenate([sol_rows, non_rows]))
+        kept_rows.append(xs[sel])
+        kept_labels.append(labels[sel])
+        n_sol += len(sol_rows)
+        n_non += len(non_rows)
+    return np.concatenate(kept_rows, axis=0), np.concatenate(kept_labels, axis=0)
+
+
 def sample_balanced(
     c: ConstraintInstance,
     k: int,
@@ -170,38 +211,19 @@ def sample_balanced(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    rng = np.random.default_rng(rng_seed)
-    kept_rows: list[np.ndarray] = []
-    kept_labels: list[np.ndarray] = []
-    n_sol = n_non = 0
-    drawn = 0
-    while n_sol < k or n_non < k:
-        if drawn >= draw_budget:
-            raise SamplingExhaustedError(
-                f"draw budget of {draw_budget} exhausted with {n_sol}/{k} solutions "
-                f"and {n_non}/{k} non-solutions for {format_constraint_line(c)}; "
-                "the class rate may be too low for balanced sampling"
-            )
-        block = min(_block_batches(c), max(1, -(-(draw_budget - drawn) // c.d)))
-        xs = _full_batch_block(c, block, rng)
-        if drawn + len(xs) > draw_budget:
-            xs = xs[: draw_budget - drawn]
-        drawn += len(xs)
-        labels = concept_holds_batch(c, xs)
-        sol_rows = np.flatnonzero(labels)[: k - n_sol]
-        non_rows = np.flatnonzero(~labels)[: k - n_non]
-        keep = np.zeros(len(xs), dtype=bool)
-        keep[sol_rows] = True
-        keep[non_rows] = True
-        if keep.any():
-            sel = np.flatnonzero(keep)
-            kept_rows.append(xs[sel])
-            kept_labels.append(labels[sel])
-        n_sol += len(sol_rows)
-        n_non += len(non_rows)
-    xs = np.concatenate(kept_rows, axis=0)
-    labels = np.concatenate(kept_labels, axis=0)
+    xs, labels = _draw_classes(c, k, k, np.random.default_rng(rng_seed), draw_budget)
     return LabeledSpace(c, xs, labels, None, complete=False)
+
+
+# Kinds that sample_solutions draws directly.
+_DIRECT_SAMPLER_KINDS = frozenset(
+    {
+        ConstraintKind.ALL_DIFFERENT,
+        ConstraintKind.MINIMUM,
+        ConstraintKind.ORDERED,
+        ConstraintKind.NO_OVERLAP_1D,
+    }
+)
 
 
 def sample_solutions(c: ConstraintInstance, count: int, rng_seed: int) -> np.ndarray:
@@ -259,45 +281,17 @@ def sample_balanced_direct(
 
     The test-set builder for constraints out of rejection's reach; falls
     back to rejection for the solution class when no direct sampler exists.
+    The budget caps the LHS rows drawn, as in sample_balanced.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    try:
-        sols = sample_solutions(c, k, rng_seed)
-    except ValueError as exc:
-        if "no direct solution sampler" not in str(exc):
-            raise
-        sols = None
+    direct = c.kind in _DIRECT_SAMPLER_KINDS
+    sols = sample_solutions(c, k, rng_seed) if direct else None
     rng = np.random.default_rng(rng_seed + 1)
-    non_parts: list[np.ndarray] = []
-    need_non = k
-    need_sol = 0 if sols is not None else k
-    sol_parts: list[np.ndarray] = []
-    drawn = 0
-    while need_non > 0 or need_sol > 0:
-        if drawn >= draw_budget:
-            raise SamplingExhaustedError(
-                f"draw budget of {draw_budget} exhausted with {k - need_sol}/{k} "
-                f"solutions and {k - need_non}/{k} non-solutions for "
-                f"{format_constraint_line(c)}"
-            )
-        block = min(_block_batches(c), max(1, -(-(draw_budget - drawn) // c.d)))
-        xs = _full_batch_block(c, block, rng)
-        drawn += len(xs)
-        labels = concept_holds_batch(c, xs)
-        take_non = np.flatnonzero(~labels)[:need_non]
-        if len(take_non):
-            non_parts.append(xs[take_non])
-            need_non -= len(take_non)
-        if need_sol > 0:
-            take_sol = np.flatnonzero(labels)[:need_sol]
-            if len(take_sol):
-                sol_parts.append(xs[take_sol])
-                need_sol -= len(take_sol)
-    if sols is None:
-        sols = np.concatenate(sol_parts, axis=0)
-    non = np.concatenate(non_parts, axis=0)
-    xs = np.concatenate([sols, non], axis=0)
+    xs, labels = _draw_classes(c, 0 if direct else k, k, rng, draw_budget)
+    if not direct:
+        sols = xs[labels]
+    xs = np.concatenate([sols, xs[~labels]], axis=0)
     labels = np.concatenate([np.ones(k, dtype=bool), np.zeros(k, dtype=bool)])
     return LabeledSpace(c, xs, labels, None, complete=False)
 
@@ -332,18 +326,24 @@ def _int_token(path, ln: int, token: str) -> int:
 
 
 def load_space(path) -> LabeledSpace:
-    """Read a space file, rejecting with the file and line: rows of the wrong
-    width, non-integer tokens, values outside [lo, hi], labels other than
-    0/1 or at odds with the concept, and solutions with a non-zero cost."""
+    """Read a space file, rejecting with the file and line: a header with a
+    token that is not key=value, an unknown, repeated or missing key, or an
+    invalid constraint; rows of the wrong width, non-integer tokens, values
+    outside [lo, hi], labels other than 0/1 or at odds with the concept, and
+    solutions with a non-zero cost."""
     text = Path(path).read_text().splitlines()
     if not text or not text[0].startswith("# constraint "):
-        raise ValueError(f"{path}: missing space header")
-    header = text[0][len("# constraint "):]
-    fields = dict(tok.partition("=")[::2] for tok in header.split())
-    complete = fields.pop("complete", None)
-    if complete not in ("0", "1"):
-        raise ValueError(f"{path}: header lacks complete=<0|1>")
-    c = parse_constraint_line(" ".join(f"{k}={v}" for k, v in fields.items()))
+        raise ValueError(f"{path}:1: missing space header")
+    try:
+        fields = parse_fields(
+            text[0][len("# constraint "):], "header",
+            CONSTRAINT_KEYS[:4] + ("complete",), CONSTRAINT_KEYS[4:],
+        )
+        if fields["complete"] not in ("0", "1"):
+            raise ValueError(f"complete must be 0 or 1, got {fields['complete']!r}")
+        c = constraint_from_fields(fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: {exc}") from None
     rows, labels, costs, line_nos = [], [], [], []
     for ln, line in enumerate(text[1:], start=2):
         if not line.strip():
@@ -384,4 +384,4 @@ def load_space(path) -> LabeledSpace:
         cost_arr = None
     elif (cost_arr < 0).any():
         raise ValueError(f"{path}: mixed set and unset costs")
-    return LabeledSpace(c, xs, label_arr, cost_arr, complete=complete == "1")
+    return LabeledSpace(c, xs, label_arr, cost_arr, complete=fields["complete"] == "1")

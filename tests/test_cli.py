@@ -78,6 +78,16 @@ def test_gen_space_resource_errors(tmp_path):
     assert code == 1  # unknown kind
 
 
+def test_gen_space_rejects_bounds_past_int64_sums(tmp_path, capsys):
+    code = run_cli(
+        "gen-space", "--kind", "linearsum", "--n", "2", "--lo", "0",
+        "--hi", str(2**62), "--p", "5", "--complete", "--out", str(tmp_path / "never.txt"),
+    )
+    assert code == 1
+    assert "below 2^62" in capsys.readouterr().err
+    assert not (tmp_path / "never.txt").exists()
+
+
 def learn_args(space, out_dir, runs=3):
     return [
         "learn", "--space", str(space), "--out-dir", str(out_dir),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -116,7 +118,7 @@ def test_batch_predicates_and_costs_match_scalar(c):
         return  # no closed form
     costs = reference_costs_batch(c, xs)
     for row, cost in zip(xs, costs):
-        assert int(cost) == hamming_reference(c, list(row))
+        assert int(cost) == brute_force_hamming(c.kind.value, c.p, c.lo, c.hi, tuple(row))
 
 
 @pytest.mark.parametrize(
@@ -158,3 +160,25 @@ def test_unknown_kind_rejected_at_parse_time():
         parse_constraint_line("kind=alldiff n=three lo=1 hi=5")
     with pytest.raises(ValueError):
         parse_constraint_line("kind=alldiff lo=1 hi=5")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("kind=alldiff n=3 lo=1 hi=5 scale=9", "unknown constraint key 'scale'"),
+        ("kind=alldiff n=3 lo=1 hi=5 n=4", "duplicate constraint key 'n'"),
+        ("kind=alldiff n=3 lo=1 hi=5 junk", "constraint token 'junk' is not key=value"),
+    ],
+    ids=["unknown-key", "duplicate-key", "no-equals"],
+)
+def test_parse_constraint_line_is_strict(line, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_constraint_line(line)
+
+
+def test_instance_bounds_keep_row_sums_in_int64():
+    limit = 2**62
+    ConstraintInstance(ConstraintKind.LINEAR_SUM, 2, 0, limit // 2 - 1, 0)
+    for n, lo, hi, p in [(2, 0, limit // 2, 0), (2, -limit // 2, 0, 0), (4, 0, 5, -limit // 4)]:
+        with pytest.raises(ValueError, match=re.escape("below 2^62")):
+            ConstraintInstance(ConstraintKind.LINEAR_SUM, n, lo, hi, p)

@@ -288,3 +288,36 @@ def test_sampled_space_golden_files(tmp_path):
         for name, c, k in (("alldiff", alldiff20, 40), ("linearsum", linear4, 20)):
             got[f"direct-{name}"].append(digest(sample_balanced_direct(c, k, rng_seed=seed)))
     assert {name: tuple(d) for name, d in got.items()} == GOLDEN_SPACES
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("kind=alldiff n=3 lo=1 hi=4 p=0 complete=0 complete=1", "duplicate header key 'complete'"),
+        ("kind=alldiff n=3 lo=1 hi=4 p=0 complete=0 scale=9", "unknown header key 'scale'"),
+        ("kind=alldiff n=3 lo=1 hi=4 p=0 complete=0 junk", "header token 'junk' is not key=value"),
+        ("kind=alldiff n=3 lo=1 hi=4 p=0", "header line missing 'complete'"),
+        ("kind=alldiff n=3 lo=1 hi=4 p=0 complete=2", "complete must be 0 or 1, got '2'"),
+        ("kind=alldiff n=1 lo=1 hi=4 p=0 complete=0", "scope size must be >= 2"),
+        ("kind=alldiff n=3 lo=1 hi=x p=0 complete=0", "bad integer"),
+        ("kind=linearsum n=2 lo=0 hi=9223372036854775807 p=-9223372036854775808 complete=0",
+         "below 2^62"),
+    ],
+    ids=["duplicate-key", "unknown-key", "no-equals", "missing-complete", "complete-value",
+         "invalid-instance", "non-integer", "int64-sums"],
+)
+def test_load_space_header_rejections_name_file_and_line(tmp_path, header, message):
+    path = tmp_path / "bad.txt"
+    # The row wraps to a linearsum solution in int64 arithmetic: 2^62 + 2^62 = -2^63.
+    path.write_text(f"# constraint {header}\n4611686018427387904 4611686018427387904 | 1 | 0\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}:1: ")) as info:
+        load_space(path)
+    assert message in str(info.value)
+
+
+def test_direct_sampler_honours_the_draw_budget():
+    # The first block holds 3 rows; within the 1-row budget the only row is
+    # a solution, so the non-solution quota cannot be met.
+    c = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 2, 1, 3)
+    with pytest.raises(SamplingExhaustedError, match="0/1 non-solutions"):
+        sample_balanced_direct(c, 1, rng_seed=0, draw_budget=1)

@@ -190,7 +190,8 @@ def has_closed_form(c: ConstraintInstance) -> bool:
     )
 
 
-CONSTRAINT_KEYS = ("kind", "n", "lo", "hi", "p")
+# Keys a constraint line must carry; p is optional and defaults to 0.
+CONSTRAINT_KEYS = ("kind", "n", "lo", "hi")
 
 
 def parse_fields(
@@ -228,9 +229,7 @@ def constraint_from_fields(fields: dict[str, str]) -> ConstraintInstance:
 
 def parse_constraint_line(line: str) -> ConstraintInstance:
     """Parse a `kind=<name> n=<int> lo=<int> hi=<int> p=<int>` description."""
-    return constraint_from_fields(
-        parse_fields(line, "constraint", CONSTRAINT_KEYS[:4], CONSTRAINT_KEYS[4:])
-    )
+    return constraint_from_fields(parse_fields(line, "constraint", CONSTRAINT_KEYS, ("p",)))
 
 
 def format_constraint_line(c: ConstraintInstance) -> str:

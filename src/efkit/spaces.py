@@ -335,10 +335,8 @@ def load_space(path) -> LabeledSpace:
     if not text or not text[0].startswith("# constraint "):
         raise ValueError(f"{path}:1: missing space header")
     try:
-        fields = parse_fields(
-            text[0][len("# constraint "):], "header",
-            CONSTRAINT_KEYS[:4] + ("complete",), CONSTRAINT_KEYS[4:],
-        )
+        header = text[0][len("# constraint "):]
+        fields = parse_fields(header, "header", CONSTRAINT_KEYS + ("complete",), ("p",))
         if fields["complete"] not in ("0", "1"):
             raise ValueError(f"complete must be 0 or 1, got {fields['complete']!r}")
         c = constraint_from_fields(fields)

@@ -234,3 +234,44 @@ def test_learn_golden_trajectories(tmp_path):
             assert len(res.loss_trace) == res.generations_run + 1
             got.append((bits, res.generations_run, res.best_loss, digest))
         assert got == GOLDEN_LEARN[name], name
+
+
+# The same contract on spaces with negative domains. Their transformations
+# take negative values, so the loss runs through the general forward pass
+# instead of the per-space table shortcuts, which the spaces above never
+# leave.
+GOLDEN_LEARN_NEGATIVE = {
+    "linearsum p=0": (
+        ConstraintInstance(ConstraintKind.LINEAR_SUM, 3, -2, 2, p=0),
+        [
+            ("1000000000000000001010001000000", 90, 6.116129032258065, "dadf74c4c3626e5c"),
+            ("1000000000000000001010001000000", 108, 6.116129032258065, "a171400835cf4dd8"),
+        ],
+    ),
+    "linearsum p=1": (
+        ConstraintInstance(ConstraintKind.LINEAR_SUM, 3, -2, 2, p=1),
+        [
+            ("1010001000000000010110010000000", 66, 28.203225806451613, "e026c977bd3f2945"),
+            ("1001000001001000000101010000000", 75, 28.203225806451613, "2058f4e7710e3a33"),
+        ],
+    ),
+    "minimum p=-1": (
+        ConstraintInstance(ConstraintKind.MINIMUM, 3, -2, 2, p=-1),
+        [
+            ("1001111100000000001001000100000", 86, 0.26129032258064516, "584881212ea315b3"),
+            ("1001111100000000001001000100000", 70, 0.26129032258064516, "da91ed8a9410e1a7"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LEARN_NEGATIVE))
+def test_learn_golden_trajectories_negative_domain(name):
+    c, expected = GOLDEN_LEARN_NEGATIVE[name]
+    space = label_space_costs(enumerate_complete(c), exhaustive_solution_set(c))
+    got = []
+    for seed in derive_seeds(42, 2):
+        res = learn(space, GaConfig(rng_seed=seed))
+        digest = hashlib.sha256(json.dumps(res.loss_trace).encode()).hexdigest()[:16]
+        got.append((format(res.best_genome.value, "031b"), res.generations_run, res.best_loss, digest))
+    assert got == expected

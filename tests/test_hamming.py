@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from efkit.concepts import ConstraintInstance, ConstraintKind, concept_holds, hamming_reference
 from efkit.hamming import (
@@ -10,6 +12,7 @@ from efkit.hamming import (
     exhaustive_solution_set,
     label_space_costs,
     label_space_costs_reference,
+    nearest_distances,
     solution_set_from_space,
 )
 from efkit.spaces import LabeledSpace, enumerate_complete, sample_balanced
@@ -138,3 +141,31 @@ def test_reference_costs_agree_with_exact_on_complete_spaces():
         by_scan = label_space_costs(space, exhaustive_solution_set(c))
         by_form = label_space_costs_reference(space)
         assert (by_scan.costs == by_form.costs).all()
+
+
+@st.composite
+def queries_and_solutions(draw):
+    """Solution values from a small or a very wide range; query values may
+    lie outside it, and there may be no queries."""
+    n = draw(st.integers(1, 6))
+    lo = draw(st.integers(-(2**60), 2**60) | st.integers(-5, 5))
+    width = draw(st.integers(0, 12) | st.integers(0, 2**61))
+    solution_values = st.integers(lo, lo + width)
+    query_values = solution_values | st.integers(lo - 3, lo + width + 3)
+    solutions = draw(st.lists(st.lists(solution_values, min_size=n, max_size=n), min_size=1, max_size=15))
+    queries = draw(st.lists(st.lists(query_values, min_size=n, max_size=n), max_size=15))
+    return n, queries, solutions
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(case=queries_and_solutions())
+@example((3, [], [[1, 2, 3]]))
+@example((2, [[-1, -2], [-3, 0], [7, -2]], [[-1, -2], [-2, -1], [0, 0]]))
+@example((2, [[0, 2**40], [5, 7], [0, 0]], [[0, 2**40], [5, -(2**40)]]))
+def test_nearest_distances_match_brute_force(case):
+    n, queries, solutions = case
+    got = nearest_distances(np.array(queries, dtype=np.int64).reshape(len(queries), n),
+                            np.array(solutions, dtype=np.int64))
+    expected = [min(sum(a != b for a, b in zip(q, s)) for s in solutions) for q in queries]
+    assert got.dtype == np.int64
+    assert got.tolist() == expected

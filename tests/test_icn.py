@@ -14,6 +14,7 @@ from efkit.icn import (
     EvalDiagnostics,
     ErrorFunction,
     Genome,
+    SpaceEvaluator,
     alldifferent_reference_genome,
     ctx_from_constraint,
     describe_genome,
@@ -408,6 +409,66 @@ def test_evaluate_matches_straight_line_reimplementation(genome, case):
     expected = [straight_line_eval(bits, ctx.n, ctx.d, ctx.p, row, ceiling=CEILING) for row in rows]
     assert out.tolist() == expected
     assert ErrorFunction(genome, ctx).evaluate(rows[0]) == expected[0]
+
+
+def draw_bounds(draw, n):
+    """lo <= hi and p: a small domain with p near it, or bounds anywhere
+    below the instance limit n * max(|lo|, |hi|, |p|) < 2^62."""
+    if draw(st.booleans()):
+        lo = draw(st.integers(-60, 60))
+        hi = lo + draw(st.integers(0, 59))
+        return lo, hi, draw(st.integers(lo - 10, hi + 11))
+    bound = (2**62 - 1) // max(n, 2)
+    lo = draw(st.integers(-bound, bound))
+    return lo, draw(st.integers(lo, bound)), draw(st.integers(-bound, bound))
+
+
+def space_of(n, lo, hi, p, rows, costs):
+    """A linearsum space over [lo, hi] (widened to two values when lo == hi)
+    holding the given rows and costs; labels are not consulted."""
+    c = ConstraintInstance(ConstraintKind.LINEAR_SUM, n, lo, max(hi, lo + 1), p)
+    m = len(rows)
+    X = np.array(rows, dtype=np.int64).reshape(m, n)
+    return LabeledSpace(c, X, np.zeros(m, dtype=bool), np.array(costs, dtype=np.int64), complete=False)
+
+
+@st.composite
+def spaces_and_genomes(draw):
+    n = draw(st.integers(2, 6))
+    lo, hi, p = draw_bounds(draw, n)
+    rows = draw(st.lists(st.lists(st.integers(lo, hi), min_size=n, max_size=n), max_size=12))
+    costs = draw(st.lists(st.integers(0, 2**31), min_size=len(rows), max_size=len(rows)))
+    return space_of(n, lo, hi, p, rows, costs), draw(st.lists(valid_genomes, min_size=1, max_size=8))
+
+
+def every_path(*transformations):
+    return [genome_from_names(transformations, a, g, "identity")
+            for a in icn.ARITHMETIC_NAMES for g in icn.AGGREGATION_NAMES]
+
+
+@settings(PROPERTY, max_examples=200)
+@given(case=spaces_and_genomes())
+@example((  # eq_p never fires on [1, 5] with p = 0: identically zero
+    space_of(3, 1, 5, 0, [[1, 2, 3], [5, 5, 1], [4, 4, 4]], [0, 1, 2]),
+    every_path("identity", "eq_p") + every_path("eq_p") + every_path("count_eq_right", "lt_p"),
+))
+@example((  # negative transformations, where positivity says nothing about sums
+    space_of(3, -2, 2, 1, [[-2, -1, 0], [2, -2, 2], [0, 0, 0], [1, 1, -1]], [3, 0, 1, 2]),
+    every_path("identity", "count_eq_right") + every_path("identity", "drop_to_next", "gap_above_p"),
+))
+@example((  # products past the saturation ceiling
+    space_of(4, -1059, 1059, -40, [[1059, 1059, 1058, -3], [1059] * 4, [-1059] * 4], [0, 5, 2**31]),
+    every_path("identity", "max_with_next", "min_with_next", "gap_above_p"),
+))
+@example((space_of(3, -2, 2, 0, [], []), every_path("identity", "lt_p") + every_path("count_eq_others")))
+def test_space_evaluator_deviation_matches_network_outputs(case):
+    space, genomes = case
+    evaluator = SpaceEvaluator(space)
+    ctx = ctx_from_constraint(space.constraint)
+    for genome in genomes:
+        outputs = icn.network_outputs(genome, ctx, space.assignments)
+        assert evaluator.deviation(genome) == int(np.abs(outputs - space.costs).sum())
+        assert evaluator.loss(genome) == loss(genome, space)
 
 
 @settings(PROPERTY, max_examples=200)

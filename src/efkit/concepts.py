@@ -9,6 +9,7 @@ the exact Hamming cost where one is known.
 from __future__ import annotations
 
 import bisect
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -216,12 +217,23 @@ def parse_fields(
     return fields
 
 
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+
+
+def parse_int(token: str) -> int:
+    """A decimal integer written as -?[0-9]+ and nothing else: no `+`, no
+    underscores, no surrounding spaces, no non-ASCII digits."""
+    if not _INT_TOKEN.fullmatch(token):
+        raise ValueError(f"{token!r} is not an integer")
+    return int(token)
+
+
 def constraint_from_fields(fields: dict[str, str]) -> ConstraintInstance:
     """The instance described by parsed kind, n, lo, hi and optional p fields."""
     kind = parse_kind(fields["kind"])
     try:
-        n, lo, hi = (int(fields[key]) for key in ("n", "lo", "hi"))
-        p = int(fields.get("p", "0"))
+        n, lo, hi = (parse_int(fields[key]) for key in ("n", "lo", "hi"))
+        p = parse_int(fields.get("p", "0"))
     except ValueError as exc:
         raise ValueError(f"bad integer in constraint line: {exc}") from None
     return ConstraintInstance(kind=kind, n=n, lo=lo, hi=hi, p=p)

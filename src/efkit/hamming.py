@@ -19,6 +19,15 @@ from .spaces import LabeledSpace
 # Row chunk for pairwise distance scans, keeps peak memory near 100 MB.
 _SCAN_CHUNK_CELLS = 10**7
 
+# The one-hot product replaces the scan while a position spans at most
+# _ONEHOT_MAX_WIDTH values (at n=10 the product is still faster than the
+# scan at 256) and the solutions' one-hot matrix stays within
+# _ONEHOT_MAX_CELLS float32 cells. Products are taken in blocks of about
+# _PRODUCT_CHUNK_CELLS cells.
+_ONEHOT_MAX_WIDTH = 256
+_ONEHOT_MAX_CELLS = 2**23
+_PRODUCT_CHUNK_CELLS = 2 * 10**6
+
 
 class UnsatisfiableConstraintError(ValueError):
     """No solution exists, so Hamming costs are undefined."""
@@ -55,11 +64,44 @@ def solution_set_from_space(space: LabeledSpace) -> SolutionSet:
 
 
 def nearest_distances(queries: np.ndarray, solutions: np.ndarray) -> np.ndarray:
-    """Per-query minimum disagreement count against the solution rows."""
+    """Per-query minimum disagreement count against the solution rows.
+
+    A query agrees with a solution at one-hot(query) @ one-hot(solution)
+    positions, so its distance is n minus the row maximum of that product.
+    The counts are at most n, which float32 holds exactly in any summation
+    order. Solution values too widely spread for the one-hot fall back to
+    comparing rows position by position.
+    """
     queries = np.asarray(queries, dtype=np.int64)
     solutions = np.asarray(solutions, dtype=np.int64)
     if len(solutions) == 0:
         raise UnsatisfiableConstraintError("empty solution set")
+    m, n = queries.shape
+    low = int(solutions.min())
+    width = int(solutions.max()) - low + 2  # the values, plus one column no solution sets
+    if width > _ONEHOT_MAX_WIDTH or len(solutions) * n * width > _ONEHOT_MAX_CELLS:
+        return _nearest_by_scan(queries, solutions)
+    solution_hot = _one_hot(solutions, low, width)
+    out = np.empty(m, dtype=np.int64)
+    chunk = max(1, _PRODUCT_CHUNK_CELLS // max(len(solutions), n * width))
+    for start in range(0, m, chunk):
+        matches = _one_hot(queries[start : start + chunk], low, width) @ solution_hot.T
+        out[start : start + chunk] = n - matches.max(axis=1).astype(np.int64)
+    return out
+
+
+def _one_hot(X: np.ndarray, low: int, width: int) -> np.ndarray:
+    """(rows, n * width) float32 with column i * width + 1 + x_i - low set in
+    each row; a value outside [low, low + width - 2] sets column i * width."""
+    rows, n = X.shape
+    inside = (X >= low) & (X <= low + width - 2)
+    index = np.subtract(X, low, out=np.full_like(X, -1), where=inside) + 1
+    out = np.zeros((rows, n, width), dtype=np.float32)
+    np.put_along_axis(out, index[:, :, None], 1.0, axis=2)
+    return out.reshape(rows, n * width)
+
+
+def _nearest_by_scan(queries: np.ndarray, solutions: np.ndarray) -> np.ndarray:
     m, n = queries.shape
     out = np.empty(m, dtype=np.int64)
     chunk = max(1, _SCAN_CHUNK_CELLS // (len(solutions) * n))

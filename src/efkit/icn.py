@@ -18,6 +18,7 @@ describe/parse pair round-trips that rendering.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +26,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .concepts import ConstraintInstance, ConstraintKind, parse_fields, parse_kind
+from .concepts import ConstraintInstance, ConstraintKind, parse_fields, parse_int, parse_kind
 from .spaces import LabeledSpace
 
 GENOME_LENGTH = 31
@@ -291,11 +292,24 @@ def linear_sum_reference_genome() -> Genome:
 # ---------------------------------------------------------------------------
 
 
+# Sums bounded by this cannot wrap int64.
+_INT64_MAX = 2**63 - 1
+
+
 def _clamp(values: np.ndarray, diagnostics: Optional[EvalDiagnostics]) -> np.ndarray:
     if diagnostics is not None:
         over = int((values > SATURATION_CEILING).sum() + (values < -SATURATION_CEILING).sum())
         diagnostics.saturation_events += over
-    return np.clip(values, -SATURATION_CEILING, SATURATION_CEILING)
+    return np.clip(values, -SATURATION_CEILING, SATURATION_CEILING).astype(np.int64, copy=False)
+
+
+def _peak(v: np.ndarray) -> int:
+    """max |v|, 0 for an empty array."""
+    return max(int(v.max()), -int(v.min())) if v.size else 0
+
+
+def _compare(comp: int, ctx: EvalContext, y: np.ndarray, diagnostics: Optional[EvalDiagnostics]) -> np.ndarray:
+    return _clamp(_COMPARISON_FNS[comp](y, ctx), diagnostics)
 
 
 def _forward(
@@ -306,10 +320,14 @@ def _forward(
     vectors: list[np.ndarray],
     diagnostics: Optional[EvalDiagnostics],
 ) -> np.ndarray:
-    # Addition cannot overflow int64 (at most 18 vectors of domain-sized
-    # values), so the add path clamps once after aggregation; the multiply
-    # path clamps every step to keep products inside int64.
+    # The add path is exact and saturates once, after aggregation: it adds
+    # in int64 while no partial sum can pass n * sum(max |T_t|) <= 2^63 - 1,
+    # and in Python ints beyond. The multiply path clamps every step to keep
+    # products inside int64.
     if arith == 0 or len(vectors) == 1:
+        terms = vectors[0].shape[1] if agg == 0 else 1
+        if (len(vectors) > 1 or terms > 1) and terms * sum(map(_peak, vectors)) > _INT64_MAX:
+            vectors = [v.astype(object) for v in vectors]
         combined = vectors[0] if len(vectors) == 1 else np.add.reduce(vectors)
     else:
         combined = _clamp(vectors[0], diagnostics)
@@ -319,8 +337,7 @@ def _forward(
         y = _clamp(combined.sum(axis=1), diagnostics)
     else:
         y = (combined > 0).sum(axis=1)  # bounded by the scope size
-    out = _clamp(_COMPARISON_FNS[comp](y, ctx), diagnostics)
-    return out if out.dtype == np.int64 else out.astype(np.int64)
+    return _compare(comp, ctx, y, diagnostics)
 
 
 def _valid_layers(genome: Genome) -> Layers:
@@ -418,30 +435,75 @@ def regularization(g: Genome) -> float:
     return 0.9 * g.count() / GENOME_LENGTH
 
 
-class SpaceEvaluator:
-    """Shares per-space transformation tensors across many genome losses.
+def _space_arrays(space: LabeledSpace) -> tuple[EvalContext, np.ndarray, np.ndarray]:
+    if not space.has_costs:
+        raise ValueError("space costs are unset; fill them before computing losses")
+    X = np.asarray(space.assignments, dtype=np.int64)
+    return ctx_from_constraint(space.constraint), X, np.asarray(space.costs, dtype=np.int64)
 
-    Transformation outputs depend only on the space and context, so each is
-    computed once and reused by every genome the search tries.
+
+class SpaceEvaluator:
+    """Scores many genomes against one space from tables built once.
+
+    The tables hold all 18 transformations position-major, (18, n, m), their
+    row sums (18, m), a (n, m) uint32 mask whose bit t is set where T_t > 0,
+    and each transformation's min and max |T_t|. From them:
+
+    - add + Sum sums the selected row sums;
+    - add + Count>0 counts positions where any selected bit is set;
+    - mul + Count>0 counts positions where every selected bit is set;
+    - mul with a selected T_t that is identically 0 gives y = 0;
+    - mul + Sum multiplies without clamps while the product of the
+      selected max |T_t| stays within the saturation ceiling.
+
+    The mask paths need every selected T_t >= 0 (or a single one), and
+    add + Sum needs n * sum(max |T_t|) <= 2^63 - 1. Anything else runs the
+    general forward pass on the tabulated vectors. Every path gives the
+    outputs network_outputs gives.
     """
 
     def __init__(self, space: LabeledSpace):
-        if not space.has_costs:
-            raise ValueError("space costs are unset; fill them before computing losses")
-        self.ctx = ctx_from_constraint(space.constraint)
-        self.X = np.asarray(space.assignments, dtype=np.int64)
-        self.costs = np.asarray(space.costs, dtype=np.int64)
-        self._cache: dict[int, np.ndarray] = {}
+        self.ctx, X, self.costs = _space_arrays(space)
+        m, n = X.shape
+        self.tables = np.empty((len(_TRANSFORMATION_FNS), n, m), dtype=np.int64)
+        self.mask = np.zeros((n, m), dtype=np.uint32)
+        for t, fn in enumerate(_TRANSFORMATION_FNS):
+            self.tables[t] = fn(X, self.ctx).T
+            self.mask |= (self.tables[t] > 0).astype(np.uint32) << np.uint32(t)
+        self.sums = self.tables.sum(axis=1)  # wrapped sums are never read, see _aggregate
+        self.nonnegative = [m == 0 or int(T.min()) >= 0 for T in self.tables]
+        self.peaks = [_peak(T) for T in self.tables]
 
-    def _transformation(self, t: int) -> np.ndarray:
-        if t not in self._cache:
-            self._cache[t] = _TRANSFORMATION_FNS[t](self.X, self.ctx)
-        return self._cache[t]
+    def _aggregate(self, t_idx: tuple[int, ...], arith: int, agg: int) -> Optional[np.ndarray]:
+        """The aggregated y from the tables, or None where only the general
+        forward pass is exact."""
+        single = len(t_idx) == 1
+        masked = single or all(self.nonnegative[t] for t in t_idx)
+        bits = np.uint32(sum(1 << t for t in t_idx))
+        if arith == 0 or single:
+            if agg == 1:
+                return ((self.mask & bits) != 0).sum(axis=0) if masked else None
+            if self.ctx.n * sum(self.peaks[t] for t in t_idx) > _INT64_MAX:
+                return None
+            return _clamp(self.sums[list(t_idx)].sum(axis=0), None)
+        if any(self.peaks[t] == 0 for t in t_idx):
+            return np.zeros(self.tables.shape[2], dtype=np.int64)
+        if agg == 1:
+            return ((self.mask & bits) == bits).sum(axis=0) if masked else None
+        if math.prod(self.peaks[t] for t in t_idx) > SATURATION_CEILING:
+            return None
+        combined = self.tables[t_idx[0]] * self.tables[t_idx[1]]
+        for t in t_idx[2:]:
+            combined *= self.tables[t]
+        return _clamp(combined.sum(axis=0), None)
 
     def deviation(self, genome: Genome) -> int:
         t_idx, arith, agg, comp = _valid_layers(genome)
-        vectors = [self._transformation(t) for t in t_idx]
-        out = _forward(arith, agg, comp, self.ctx, vectors, None)
+        y = self._aggregate(t_idx, arith, agg)
+        if y is None:
+            out = _forward(arith, agg, comp, self.ctx, [self.tables[t].T for t in t_idx], None)
+        else:
+            out = _compare(comp, self.ctx, y, None)
         return int(np.abs(out - self.costs).sum())
 
     def loss(self, genome: Genome) -> float:
@@ -450,8 +512,10 @@ class SpaceEvaluator:
 
 def loss(g: Genome, space: LabeledSpace) -> float:
     """Eq.-style training loss: summed |prediction - cost| plus the length
-    penalty. Costs must be present on every entry."""
-    return SpaceEvaluator(space).loss(g)
+    penalty. Costs must be present on every entry. One genome builds no
+    tables; SpaceEvaluator scores many."""
+    ctx, X, costs = _space_arrays(space)
+    return int(np.abs(network_outputs(g, ctx, X) - costs).sum()) + regularization(g)
 
 
 def normalized_mean_error(f: ErrorFunction, space: LabeledSpace) -> float:
@@ -462,11 +526,8 @@ def normalized_mean_error(f: ErrorFunction, space: LabeledSpace) -> float:
     """
     if len(space) == 0:
         raise ValueError("normalized mean error undefined for an empty space")
-    if not space.has_costs:
-        raise ValueError("space costs are unset")
-    ctx = ctx_from_constraint(space.constraint)
-    out = network_outputs(f.genome, ctx, np.asarray(space.assignments, dtype=np.int64))
-    dev = np.abs(out - np.asarray(space.costs, dtype=np.int64)).mean()
+    ctx, X, costs = _space_arrays(space)
+    dev = np.abs(network_outputs(f.genome, ctx, X) - costs).mean()
     return float(dev) / space.constraint.n
 
 
@@ -516,7 +577,7 @@ def load_genome(path) -> ErrorFunction:
     numbers = {}
     for key in ("n", "d", "p", "lo"):
         try:
-            numbers[key] = int(fields[key])
+            numbers[key] = parse_int(fields[key])
         except ValueError:
             raise ValueError(
                 f"{path}:3: ctx {key} must be an integer, got {fields[key]!r}"

@@ -22,6 +22,7 @@ from .concepts import (
     constraint_from_fields,
     format_constraint_line,
     parse_fields,
+    parse_int,
 )
 
 DEFAULT_ENUMERATION_CAP = 10**7
@@ -317,9 +318,9 @@ def save_space(space: LabeledSpace, path) -> None:
 
 def _int_token(path, ln: int, token: str) -> int:
     try:
-        value = int(token)
-    except ValueError:
-        raise ValueError(f"{path}:{ln}: {token!r} is not an integer") from None
+        value = parse_int(token)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{ln}: {exc}") from None
     if not -(2**63) <= value < 2**63:
         raise ValueError(f"{path}:{ln}: {token!r} does not fit a 64-bit integer")
     return value

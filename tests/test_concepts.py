@@ -168,8 +168,11 @@ def test_unknown_kind_rejected_at_parse_time():
         ("kind=alldiff n=3 lo=1 hi=5 scale=9", "unknown constraint key 'scale'"),
         ("kind=alldiff n=3 lo=1 hi=5 n=4", "duplicate constraint key 'n'"),
         ("kind=alldiff n=3 lo=1 hi=5 junk", "constraint token 'junk' is not key=value"),
+        ("kind=alldiff n=+3 lo=1 hi=5", "'+3' is not an integer"),
+        ("kind=alldiff n=3 lo=1 hi=0_5", "'0_5' is not an integer"),
+        ("kind=alldiff n=3 lo=\uff11 hi=5", "'\uff11' is not an integer"),
     ],
-    ids=["unknown-key", "duplicate-key", "no-equals"],
+    ids=["unknown-key", "duplicate-key", "no-equals", "plus-sign", "underscore", "full-width-digit"],
 )
 def test_parse_constraint_line_is_strict(line, message):
     with pytest.raises(ValueError, match=re.escape(message)):

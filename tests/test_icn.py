@@ -320,9 +320,13 @@ GOOD_BITS = "0100000000000000001001100000000"  # Count>0( count_eq_right )
         (GOOD_BITS, "ctx n=4 d=5 p=0", 3, "ctx line missing 'lo'"),
         (GOOD_BITS, "ctx n=4 d=5 p=0 lo=1 kind=banana", 3, "unknown constraint kind"),
         ("0100000000000000001001100000001", "ctx n=4 d=5 p=0 lo=1", 2, "breaks the layer rules"),
+        (GOOD_BITS, "ctx n=4 d=5 p=+0 lo=1", 3, "ctx p must be an integer, got '+0'"),
+        (GOOD_BITS, "ctx n=4 d=0_5 p=0 lo=1", 3, "ctx d must be an integer, got '0_5'"),
+        (GOOD_BITS, "ctx n=\uff14 d=5 p=0 lo=1", 3, "ctx n must be an integer, got '\uff14'"),
     ],
     ids=["non-integer", "duplicate-key", "unknown-key", "n-below-1", "d-below-1",
-         "missing-key", "unknown-kind", "layer-rules"],
+         "missing-key", "unknown-kind", "layer-rules", "plus-sign", "underscore",
+         "full-width-digit"],
 )
 def test_genome_file_rejections_name_file_and_line(tmp_path, bits, ctx_line, line, message):
     path = tmp_path / "bad.genome.txt"
@@ -373,14 +377,24 @@ def test_repair_fixes_only_broken_layers(value, seed):
         assert fixed == Genome(value)
 
 
+def draw_bounds(draw, n):
+    """lo <= hi and p: a small domain with p near it, or bounds anywhere
+    below the instance limit n * max(|lo|, |hi|, |p|) < 2^62."""
+    if draw(st.booleans()):
+        lo = draw(st.integers(-60, 60))
+        hi = lo + draw(st.integers(0, 59))
+        return lo, hi, draw(st.integers(lo - 10, hi + 11))
+    bound = (2**62 - 1) // max(n, 2)
+    lo = draw(st.integers(-bound, bound))
+    return lo, draw(st.integers(lo, bound)), draw(st.integers(-bound, bound))
+
+
 @st.composite
 def contexts_and_rows(draw):
     n = draw(st.integers(1, 7))
-    lo = draw(st.integers(-60, 60))
-    d = draw(st.integers(1, 60))
-    p = draw(st.integers(lo - 10, lo + d + 10))  # p may lie outside the domain
-    rows = draw(st.lists(st.lists(st.integers(lo, lo + d - 1), min_size=n, max_size=n), min_size=1, max_size=4))
-    return EvalContext(n=n, d=d, p=p, lo=lo), rows
+    lo, hi, p = draw_bounds(draw, n)
+    rows = draw(st.lists(st.lists(st.integers(lo, hi), min_size=n, max_size=n), min_size=1, max_size=4))
+    return EvalContext(n=n, d=hi - lo + 1, p=p, lo=lo), rows
 
 
 # Products that pass the saturation ceiling. In the first, two saturated
@@ -394,12 +408,19 @@ SATURATING_NEGATIVE = (
     genome_from_names(["identity", "max_with_next", "min_with_next", "gap_below_p"], "mul", "Sum", "AbsDiff_p"),
     (EvalContext(n=4, d=60, p=5, lo=-1059), [[-1000, -1059, -1001, -1058], [-1059] * 4]),
 )
+# Four additions per position stay inside int64, but the row sum of two
+# positions, 8 * (2^61 - 1), would wrap it.
+WRAPPING_ADDITION = (
+    genome_from_names(["identity", "max_with_next", "min_with_next", "gap_above_p"], "add", "Sum", "identity"),
+    (EvalContext(n=2, d=2**61, p=0, lo=0), [[2**61 - 1, 2**61 - 1], [2**61 - 1, 0]]),
+)
 
 
 @settings(PROPERTY, max_examples=250)
 @given(genome=valid_genomes, case=contexts_and_rows())
 @example(*SATURATING_MIXED)
 @example(*SATURATING_NEGATIVE)
+@example(*WRAPPING_ADDITION)
 def test_evaluate_matches_straight_line_reimplementation(genome, case):
     """Valid genomes vs the naive loop oracle, which saturates as the
     network does."""
@@ -411,22 +432,12 @@ def test_evaluate_matches_straight_line_reimplementation(genome, case):
     assert ErrorFunction(genome, ctx).evaluate(rows[0]) == expected[0]
 
 
-def draw_bounds(draw, n):
-    """lo <= hi and p: a small domain with p near it, or bounds anywhere
-    below the instance limit n * max(|lo|, |hi|, |p|) < 2^62."""
-    if draw(st.booleans()):
-        lo = draw(st.integers(-60, 60))
-        hi = lo + draw(st.integers(0, 59))
-        return lo, hi, draw(st.integers(lo - 10, hi + 11))
-    bound = (2**62 - 1) // max(n, 2)
-    lo = draw(st.integers(-bound, bound))
-    return lo, draw(st.integers(lo, bound)), draw(st.integers(-bound, bound))
-
-
 def space_of(n, lo, hi, p, rows, costs):
-    """A linearsum space over [lo, hi] (widened to two values when lo == hi)
-    holding the given rows and costs; labels are not consulted."""
-    c = ConstraintInstance(ConstraintKind.LINEAR_SUM, n, lo, max(hi, lo + 1), p)
+    """A linearsum space over [lo, hi] (widened toward 0 to two values when
+    lo == hi) holding the given rows and costs; labels are not consulted."""
+    if lo == hi:
+        lo, hi = (lo - 1, hi) if lo > 0 else (lo, hi + 1)
+    c = ConstraintInstance(ConstraintKind.LINEAR_SUM, n, lo, hi, p)
     m = len(rows)
     X = np.array(rows, dtype=np.int64).reshape(m, n)
     return LabeledSpace(c, X, np.zeros(m, dtype=bool), np.array(costs, dtype=np.int64), complete=False)
@@ -459,6 +470,10 @@ def every_path(*transformations):
 @example((  # products past the saturation ceiling
     space_of(4, -1059, 1059, -40, [[1059, 1059, 1058, -3], [1059] * 4, [-1059] * 4], [0, 5, 2**31]),
     every_path("identity", "max_with_next", "min_with_next", "gap_above_p"),
+))
+@example((  # add + Sum past int64, exact only in Python ints
+    space_of(2, 0, 2**61 - 1, 0, [[2**61 - 1, 2**61 - 1], [2**61 - 1, 0]], [0, 7]),
+    every_path("identity", "max_with_next", "min_with_next", "gap_above_p") + every_path("identity"),
 ))
 @example((space_of(3, -2, 2, 0, [], []), every_path("identity", "lt_p") + every_path("count_eq_others")))
 def test_space_evaluator_deviation_matches_network_outputs(case):

@@ -240,9 +240,14 @@ HEADER = "# constraint kind=alldiff n=3 lo=1 hi=4 p=0 complete=0\n"
         ("1 1 2 | 0 | z", "'z' is not an integer"),
         ("1 1 2 | 0 | -2", "cost must be non-negative or -, got -2"),
         ("1 2 3 | 1 | 2", "a solution has cost 0, got 2"),
+        ("1 2 +3 | 0 | 1", "'+3' is not an integer"),
+        ("1 2 0_3 | 0 | 1", "'0_3' is not an integer"),
+        ("1 2 \uff13 | 0 | 1", "'\uff13' is not an integer"),
+        ("1 1 2 | 0 | +1", "'+1' is not an integer"),
     ],
     ids=["label-token", "false-solution", "false-non-solution", "domain", "width",
-         "non-integer", "non-integer-cost", "negative-cost", "solution-cost"],
+         "non-integer", "non-integer-cost", "negative-cost", "solution-cost",
+         "plus-sign", "underscore", "full-width-digit", "plus-sign-cost"],
 )
 def test_load_space_rejects_with_file_and_line(tmp_path, row, message):
     path = tmp_path / "bad.txt"
@@ -302,9 +307,13 @@ def test_sampled_space_golden_files(tmp_path):
         ("kind=alldiff n=3 lo=1 hi=x p=0 complete=0", "bad integer"),
         ("kind=linearsum n=2 lo=0 hi=9223372036854775807 p=-9223372036854775808 complete=0",
          "below 2^62"),
+        ("kind=alldiff n=3 lo=1 hi=4 p=+0 complete=0", "bad integer"),
+        ("kind=alldiff n=3 lo=1 hi=0_4 p=0 complete=0", "bad integer"),
+        ("kind=alldiff n=\uff13 lo=1 hi=4 p=0 complete=0", "bad integer"),
     ],
     ids=["duplicate-key", "unknown-key", "no-equals", "missing-complete", "complete-value",
-         "invalid-instance", "non-integer", "int64-sums"],
+         "invalid-instance", "non-integer", "int64-sums", "plus-sign", "underscore",
+         "full-width-digit"],
 )
 def test_load_space_header_rejections_name_file_and_line(tmp_path, header, message):
     path = tmp_path / "bad.txt"

@@ -308,7 +308,9 @@ def _peak(v: np.ndarray) -> int:
     return max(int(v.max()), -int(v.min())) if v.size else 0
 
 
-def _compare(comp: int, ctx: EvalContext, y: np.ndarray, diagnostics: Optional[EvalDiagnostics]) -> np.ndarray:
+def _compare(
+    comp: int, ctx: EvalContext, y: np.ndarray, diagnostics: Optional[EvalDiagnostics]
+) -> np.ndarray:
     return _clamp(_COMPARISON_FNS[comp](y, ctx), diagnostics)
 
 
@@ -320,10 +322,10 @@ def _forward(
     vectors: list[np.ndarray],
     diagnostics: Optional[EvalDiagnostics],
 ) -> np.ndarray:
-    # The add path is exact and saturates once, after aggregation: it adds
-    # in int64 while no partial sum can pass n * sum(max |T_t|) <= 2^63 - 1,
-    # and in Python ints beyond. The multiply path clamps every step to keep
-    # products inside int64.
+    # The add path is exact and saturates once, after aggregation. Every
+    # partial sum is bounded by n * sum(max |T_t|); while that bound fits
+    # int64 it adds in int64, beyond it in Python ints. The multiply path
+    # clamps every step to keep products inside int64.
     if arith == 0 or len(vectors) == 1:
         terms = vectors[0].shape[1] if agg == 0 else 1
         if (len(vectors) > 1 or terms > 1) and terms * sum(map(_peak, vectors)) > _INT64_MAX:

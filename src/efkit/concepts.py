@@ -228,6 +228,19 @@ def parse_int(token: str) -> int:
     return int(token)
 
 
+def parse_ints(text: str) -> list[int]:
+    """The whitespace-separated integers of text, each in parse_int's form."""
+    words = text.split()
+    # On ASCII words without `+` or `_`, int() accepts exactly that form,
+    # so a whole row is checked by a few string scans.
+    if text.isascii() and "+" not in text and "_" not in text:
+        try:
+            return list(map(int, words))
+        except ValueError:
+            pass
+    return [parse_int(word) for word in words]
+
+
 def constraint_from_fields(fields: dict[str, str]) -> ConstraintInstance:
     """The instance described by parsed kind, n, lo, hi and optional p fields."""
     kind = parse_kind(fields["kind"])

@@ -22,7 +22,7 @@ from .concepts import (
     constraint_from_fields,
     format_constraint_line,
     parse_fields,
-    parse_int,
+    parse_ints,
 )
 
 DEFAULT_ENUMERATION_CAP = 10**7
@@ -316,14 +316,22 @@ def save_space(space: LabeledSpace, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _int_token(path, ln: int, token: str) -> int:
+def _int_tokens(path, ln: int, text: str) -> list[int]:
     try:
-        value = parse_int(token)
+        values = parse_ints(text)
     except ValueError as exc:
         raise ValueError(f"{path}:{ln}: {exc}") from None
-    if not -(2**63) <= value < 2**63:
+    if values and (min(values) < -(2**63) or max(values) >= 2**63):
+        token = next(t for t in text.split() if not -(2**63) <= int(t) < 2**63)
         raise ValueError(f"{path}:{ln}: {token!r} does not fit a 64-bit integer")
-    return value
+    return values
+
+
+def _int_token(path, ln: int, token: str) -> int:
+    values = _int_tokens(path, ln, token)
+    if len(values) != 1:
+        raise ValueError(f"{path}:{ln}: {token!r} is not an integer")
+    return values[0]
 
 
 def load_space(path) -> LabeledSpace:
@@ -351,7 +359,7 @@ def load_space(path) -> LabeledSpace:
         if len(parts) != 3:
             raise ValueError(f"{path}:{ln}: expected `values | label | cost`")
         values, label, cost = parts
-        row = [_int_token(path, ln, v) for v in values.split()]
+        row = _int_tokens(path, ln, values)
         if len(row) != c.n:
             raise ValueError(f"{path}:{ln}: expected {c.n} values, got {len(row)}")
         if label not in ("0", "1"):

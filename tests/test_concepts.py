@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from efkit.concepts import (
     ConstraintInstance,
@@ -11,6 +13,8 @@ from efkit.concepts import (
     format_constraint_line,
     hamming_reference,
     parse_constraint_line,
+    parse_int,
+    parse_ints,
     parse_kind,
     reference_costs_batch,
 )
@@ -185,3 +189,20 @@ def test_instance_bounds_keep_row_sums_in_int64():
     for n, lo, hi, p in [(2, 0, limit // 2, 0), (2, -limit // 2, 0, 0), (4, 0, 5, -limit // 4)]:
         with pytest.raises(ValueError, match=re.escape("below 2^62")):
             ConstraintInstance(ConstraintKind.LINEAR_SUM, n, lo, hi, p)
+
+
+def _or_none(parse, *args):
+    try:
+        return parse(*args)
+    except ValueError:
+        return None
+
+
+@settings(deadline=None, derandomize=True, max_examples=500)
+@given(text=st.text(alphabet="0123456789-+_ \t\u3000\uff13\u00b2\u0663x", max_size=24) | st.text(max_size=24))
+@example(text="1 -2 007 -0")
+@example(text="1\u30002")  # a non-ASCII separator between valid words
+@example(text="1 --2")
+def test_parse_ints_is_parse_int_word_by_word(text):
+    expected = _or_none(lambda: [parse_int(word) for word in text.split()])
+    assert _or_none(parse_ints, text) == expected

@@ -14,7 +14,7 @@ number of pairs the change won (ties count for neither), and whether the
 change stays within the metric's bound and meets the gain rule: at least
 9/10 of the pairs won and medians apart by more than the parent's
 interquartile distance. The file is rewritten after every run, so an
-interrupted session keeps what it measured. Standard library only; the two
+interrupted run keeps what it measured. Standard library only; the two
 checkouts are run, never modified.
 """
 

@@ -1,18 +1,18 @@
 """Alternated parent/change pairs of the benchmark, recorded in one JSON file.
 
     python3 scripts/bench_pairs.py --parent <checkout> --change <checkout> \
-        --out BENCH_<n>.json [--pairs 10] [--workloads w1,w2] [--seconds S] \
-        [--parent-label L] [--change-label L] [--claim TEXT]
+        --out BENCH_<n>.json [--claim TEXT]
 
-For each workload of BENCHMARK.json, pair i runs
-`bench/run.py --workload w --seed i --seconds S --trace 0` once in each
-checkout, alternating which side runs first (the parent on even pairs),
-then one `--trace 1` run per side at seed 0. S defaults to the file's
+Both checkouts must be git checkouts; each side is labelled with its
+`git rev-parse` commit. For every workload of BENCHMARK.json, each of ten
+pairs i runs `bench/run.py --workload w --seed i --seconds S --trace 0`
+once in each checkout, alternating which side runs first (the parent on
+even pairs), then one `--trace 1` run per side at seed 0. S is the file's
 `run_seconds`. The output keeps every run's raw standard output and, per
 workload and end-to-end metric, each side's median and quartiles, the
 number of pairs the change won (ties count for neither), and whether the
-change stays within the metric's bound and meets the gain rule: at least
-9/10 of the pairs won and medians apart by more than the parent's
+change stays within the metric's bound and meets the gain rule: all ten
+pairs run, at least 9 of them won and medians apart by more than the parent's
 interquartile distance. The file is rewritten after every run, so an
 interrupted run keeps what it measured. Standard library only; the two
 checkouts are run, never modified.
@@ -30,14 +30,13 @@ import sys
 import time
 from pathlib import Path
 
+PAIRS = 10
+
 
 def _label(checkout: Path) -> str:
-    try:
-        out = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
-                             capture_output=True, text=True, check=True)
-        return out.stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return checkout.name
+    out = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -100,7 +99,7 @@ def summarize(runs: list[dict], spec: dict) -> dict:
                 "change": change,
                 "change_wins": wins,
                 "within_bound": change["median"] <= limit if lower else change["median"] >= limit,
-                "gain_rule_met": (wins >= 0.9 * len(complete)
+                "gain_rule_met": (len(complete) >= PAIRS and wins >= 0.9 * len(complete)
                                   and abs(delta) > parent["q3"] - parent["q1"]
                                   and (delta < 0 if lower else delta > 0)),
             }
@@ -113,25 +112,15 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workloads", help="comma-separated; default every workload of BENCHMARK.json")
-    parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json run_seconds")
-    parser.add_argument("--parent-label")
-    parser.add_argument("--change-label")
     parser.add_argument("--claim", default="none")
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    names = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
-    unknown = set(names) - {w["name"] for w in spec["workloads"]}
-    if unknown:
-        parser.error(f"unknown workloads {sorted(unknown)}")
-    spec["workloads"] = [w for w in spec["workloads"] if w["name"] in names]
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     record = {
-        "parent": args.parent_label or _label(sides["parent"]),
-        "change": args.change_label or _label(sides["change"]),
+        "parent": _label(sides["parent"]),
+        "change": _label(sides["change"]),
         "claim": args.claim,
         "command": f"python3 bench/run.py --workload <w> --seed <i> --seconds {seconds:g} --trace <0|1>",
         "order": "pair i runs seed i on both sides, the parent first on even i; "
@@ -150,8 +139,8 @@ def main(argv=None) -> int:
         print(f"bench_pairs: {result['workload']} seed {result['seed']} trace {result['trace']} "
               f"{side}: exit {result['exit']}, experiment_s {value}", file=sys.stderr, flush=True)
 
-    for name in names:
-        for i in range(args.pairs):
+    for name in (w["name"] for w in spec["workloads"]):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 add(side, _run(sides[side], name, i, seconds, 0))

@@ -19,13 +19,14 @@ from .spaces import LabeledSpace
 # Row chunk for pairwise distance scans, keeps peak memory near 100 MB.
 _SCAN_CHUNK_CELLS = 10**7
 
-# The one-hot product replaces the scan while a position spans at most
-# _ONEHOT_MAX_WIDTH values (at n=10 the product is still faster than the
-# scan at 256) and the solutions' one-hot matrix stays within
-# _ONEHOT_MAX_CELLS float32 cells. Products are taken in blocks of about
-# _PRODUCT_CHUNK_CELLS cells.
-_ONEHOT_MAX_WIDTH = 256
-_ONEHOT_MAX_CELLS = 2**23
+# The one-hot product replaces the scan while a one-hot row of n * width
+# cells stays within _ONEHOT_MAX_ROW_CELLS, width being one more than the
+# count of integers from the least to the greatest solution value. At 2048
+# the product took 0.4-0.8 of the scan's time for n from 2 to 20 on a
+# 2-core x86_64 VM; past about 4000 the scan was faster. Solution one-hot
+# blocks and product blocks each hold about _PRODUCT_CHUNK_CELLS float32
+# cells.
+_ONEHOT_MAX_ROW_CELLS = 2048
 _PRODUCT_CHUNK_CELLS = 2 * 10**6
 
 
@@ -69,8 +70,9 @@ def nearest_distances(queries: np.ndarray, solutions: np.ndarray) -> np.ndarray:
     A query agrees with a solution at one-hot(query) @ one-hot(solution)
     positions, so its distance is n minus the row maximum of that product.
     The counts are at most n, which float32 holds exactly in any summation
-    order. Solution values too widely spread for the one-hot fall back to
-    comparing rows position by position.
+    order. Solutions and queries are both taken in blocks. When n times the
+    solutions' value span is too wide for the one-hot, rows are compared
+    position by position instead.
     """
     queries = np.asarray(queries, dtype=np.int64)
     solutions = np.asarray(solutions, dtype=np.int64)
@@ -79,15 +81,18 @@ def nearest_distances(queries: np.ndarray, solutions: np.ndarray) -> np.ndarray:
     m, n = queries.shape
     low = int(solutions.min())
     width = int(solutions.max()) - low + 2  # the values, plus one column no solution sets
-    if width > _ONEHOT_MAX_WIDTH or len(solutions) * n * width > _ONEHOT_MAX_CELLS:
+    if n * width > _ONEHOT_MAX_ROW_CELLS:
         return _nearest_by_scan(queries, solutions)
-    solution_hot = _one_hot(solutions, low, width)
-    out = np.empty(m, dtype=np.int64)
-    chunk = max(1, _PRODUCT_CHUNK_CELLS // max(len(solutions), n * width))
-    for start in range(0, m, chunk):
-        matches = _one_hot(queries[start : start + chunk], low, width) @ solution_hot.T
-        out[start : start + chunk] = n - matches.max(axis=1).astype(np.int64)
-    return out
+    best = np.zeros(m, dtype=np.float32)
+    rows = max(1, _PRODUCT_CHUNK_CELLS // max(1, n * width))
+    for s_start in range(0, len(solutions), rows):
+        solution_hot = _one_hot(solutions[s_start : s_start + rows], low, width)
+        chunk = max(1, _PRODUCT_CHUNK_CELLS // max(len(solution_hot), n * width))
+        for start in range(0, m, chunk):
+            matches = _one_hot(queries[start : start + chunk], low, width) @ solution_hot.T
+            block = best[start : start + chunk]
+            np.maximum(block, matches.max(axis=1), out=block)
+    return n - best.astype(np.int64)
 
 
 def _one_hot(X: np.ndarray, low: int, width: int) -> np.ndarray:

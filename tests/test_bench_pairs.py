@@ -40,3 +40,10 @@ def test_summary_flags_a_regression_past_the_bound():
     assert entry["failed"] == {"parent": 0, "change": 3}
     assert metric["change_wins"] == 0
     assert not metric["within_bound"] and not metric["gain_rule_met"]
+
+
+def test_gain_rule_needs_all_ten_pairs():
+    runs = [run("parent", i, 10.0 + i / 100) for i in range(9)] + [run("change", i, 5.0) for i in range(9)]
+    metric = bench_pairs.summarize(runs, SPEC)["w"]["experiment_s"]
+    assert metric["change_wins"] == 9 and metric["within_bound"]
+    assert not metric["gain_rule_met"]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from efkit import hamming
 from efkit.concepts import ConstraintInstance, ConstraintKind, concept_holds, hamming_reference
 from efkit.hamming import (
     SolutionSet,
@@ -169,3 +170,26 @@ def test_nearest_distances_match_brute_force(case):
     expected = [min(sum(a != b for a, b in zip(q, s)) for s in solutions) for q in queries]
     assert got.dtype == np.int64
     assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("cells", [1, 40, 150])
+def test_nearest_distances_in_blocks_of_solutions_and_queries(monkeypatch, cells):
+    """Blocks smaller than the solution set keep the per-query maximum over
+    every block; one cell makes every block a single row."""
+    monkeypatch.setattr("efkit.hamming._PRODUCT_CHUNK_CELLS", cells)
+    rng = np.random.default_rng(3)
+    solutions = rng.integers(-2, 3, size=(37, 4))
+    queries = rng.integers(-4, 5, size=(23, 4))
+    expected = [min(int((q != s).sum()) for s in solutions) for q in queries]
+    assert nearest_distances(queries, solutions).tolist() == expected
+
+
+def test_nearest_distances_at_the_one_hot_row_limit():
+    """Solutions whose one-hot row is just inside or just past the limit
+    give the brute-force distances on either side."""
+    limit = hamming._ONEHOT_MAX_ROW_CELLS
+    for span in (limit // 2 - 2, limit // 2 - 1):
+        solutions = np.array([[0, span], [span, 0], [5, 5]])
+        queries = np.array([[0, 0], [span, span], [5, span], [7, 8]])
+        expected = [min(int((q != s).sum()) for s in solutions) for q in queries]
+        assert nearest_distances(queries, solutions).tolist() == expected

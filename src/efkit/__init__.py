@@ -2,9 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .concepts import ConstraintInstance, ConstraintKind, concept_holds, hamming_reference
+from .concepts import ConstraintInstance, ConstraintKind, concept_holds
 from .ga import GaConfig, LearnResult, learn
-from .hamming import SolutionSet, approx_hamming, exact_hamming, label_space_costs
+from .hamming import SolutionSet, approx_hamming, exact_hamming, hamming_reference, label_space_costs
 from .icn import ErrorFunction, EvalContext, Genome, loss, normalized_mean_error
 from .spaces import LabeledSpace, enumerate_complete, lhs_sample, sample_balanced
 

@@ -27,6 +27,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def integer(text: str) -> int:
+    """An integer flag, read as strictly as file integers (concepts.parse_int);
+    argparse names it by this function's name."""
+    return concepts.parse_int(text)
+
+
 def _constraint_from_args(args) -> concepts.ConstraintInstance:
     kind = concepts.parse_kind(args.kind)
     return concepts.ConstraintInstance(kind=kind, n=args.n, lo=args.lo, hi=args.hi, p=args.p)
@@ -70,10 +76,12 @@ def cmd_gen_space(args) -> int:
     return 0
 
 
-# GA settings a config file or a flag may override, with their types; the
-# seed always comes from --seed.
+# GA settings a config file or a flag may override, with their readers:
+# integers strictly, rates with float(). The seed always comes from --seed.
 _GA_SETTINGS = {
-    f.name: type(f.default) for f in dataclasses.fields(ga.GaConfig) if f.name != "rng_seed"
+    f.name: integer if type(f.default) is int else float
+    for f in dataclasses.fields(ga.GaConfig)
+    if f.name != "rng_seed"
 }
 
 
@@ -91,7 +99,7 @@ def _read_ga_config_file(path) -> dict:
         try:
             overrides[key] = _GA_SETTINGS[key](value)
         except ValueError:
-            kind = "an integer" if _GA_SETTINGS[key] is int else "a number"
+            kind = "an integer" if _GA_SETTINGS[key] is integer else "a number"
             raise ValueError(f"{path}:{ln}: {key} must be {kind}, got {value!r}") from None
     return overrides
 
@@ -111,7 +119,7 @@ def cmd_learn(args) -> int:
     if not space.has_costs:
         raise ValueError(f"{args.space} has no costs; regenerate with a cost mode")
     cfg = _ga_config(args)
-    seeds = solver.derive_seeds(args.seed, args.runs)
+    seeds = util.derive_seeds(args.seed, args.runs)
     results = ga.learn_many(space, seeds, cfg, jobs=args.jobs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -236,15 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("gen-space", help="generate a labeled assignment space")
-    p.add_argument("--kind", required=True, help="alldiff|linearsum|minimum|nooverlap|ordered")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lo", type=int, required=True)
-    p.add_argument("--hi", type=int, required=True)
-    p.add_argument("--p", type=int, default=0)
+    p.add_argument("--kind", required=True, help="|".join(k.value for k in concepts.ConstraintKind))
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--lo", type=integer, required=True)
+    p.add_argument("--hi", type=integer, required=True)
+    p.add_argument("--p", type=integer, default=0)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--complete", action="store_true")
     mode.add_argument("--sampled", action="store_true")
-    p.add_argument("--k", type=int, default=1000, help="per-class count for --sampled")
+    p.add_argument("--k", type=integer, default=1000, help="per-class count for --sampled")
     p.add_argument(
         "--solutions",
         choices=["rejection", "direct"],
@@ -252,9 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="how --sampled finds solutions: LHS rejection (training protocol) "
         "or direct per-kind samplers (test sets whose solution rate defeats rejection)",
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=spaces.DEFAULT_ENUMERATION_CAP)
-    p.add_argument("--budget", type=int, default=spaces.DEFAULT_DRAW_BUDGET)
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--cap", type=integer, default=spaces.DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--budget", type=integer, default=spaces.DEFAULT_DRAW_BUDGET)
     p.add_argument(
         "--costs",
         choices=["auto", "exact", "nearest", "reference", "none"],
@@ -268,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn", help="run seeded GA learnings on a space file")
     p.add_argument("--space", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--runs", type=integer, default=1)
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--jobs", type=integer, default=1)
     p.add_argument("--config", help="key=value file overriding GA defaults")
     for key, kind in _GA_SETTINGS.items():
         p.add_argument("--" + key.replace("_", "-"), type=kind, dest=key)
@@ -282,15 +290,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("solve", help="benchmark Sudoku variants")
-    p.add_argument("--k", type=int, default=3, choices=[3, 4])
+    p.add_argument("--k", type=integer, default=3, choices=[3, 4])
     p.add_argument("--variant", required=True, choices=list(solver.SUDOKU_VARIANTS))
-    p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--timeout", type=int, default=10000, help="per-run timeout in ms")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--runs", type=integer, default=100)
+    p.add_argument("--timeout", type=integer, default=10000, help="per-run timeout in ms")
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--genome", help="genome file for the icn variants")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--tenure", type=int, default=2)
-    p.add_argument("--plateau", type=int, default=None)
+    p.add_argument("--jobs", type=integer, default=1)
+    p.add_argument("--tenure", type=integer, default=2)
+    p.add_argument("--plateau", type=integer, default=None)
     p.add_argument("--out", default="sudoku_benchmark.csv")
     p.set_defaults(func=cmd_solve)
     return parser

@@ -25,15 +25,11 @@ class ConstraintKind(Enum):
     ORDERED = "ordered"
 
 
-# Accepted spellings in config lines and CLI flags.
-_KIND_ALIASES = {
-    "alldiff": ConstraintKind.ALL_DIFFERENT,
+# Accepted spellings in config lines and CLI flags: each kind's value, plus
+# two longer names.
+_KIND_ALIASES = {kind.value: kind for kind in ConstraintKind} | {
     "alldifferent": ConstraintKind.ALL_DIFFERENT,
-    "linearsum": ConstraintKind.LINEAR_SUM,
-    "minimum": ConstraintKind.MINIMUM,
-    "nooverlap": ConstraintKind.NO_OVERLAP_1D,
     "nooverlap1d": ConstraintKind.NO_OVERLAP_1D,
-    "ordered": ConstraintKind.ORDERED,
 }
 
 # Kinds whose parameter is meaningful; the others are pinned to p = 0 so
@@ -138,27 +134,13 @@ def _longest_nondecreasing_run(x: Sequence[int]) -> int:
     return len(tails)
 
 
-def hamming_reference(c: ConstraintInstance, x: Sequence[int]) -> int:
-    """Exact Hamming cost of x: one-row reference_costs_batch where a closed
-    form is known.
-
-    NoOverlap1D has no trusted closed form and is answered by the generic
-    enumeration oracle, as is AllDifferent when the domain is too small for
-    the counting argument (d < n).
-    """
-    c.check_assignment(x)
-    if has_closed_form(c):
-        return int(reference_costs_batch(c, [x])[0])
-    from . import hamming
-
-    return hamming.exact_hamming(x, hamming.exhaustive_solution_set(c))
-
-
 def reference_costs_batch(c: ConstraintInstance, xs: np.ndarray) -> np.ndarray:
-    """Closed-form Hamming costs for a (m, n) matrix; kinds without a closed
-    form are rejected (use the enumeration/sampling oracles instead)."""
+    """Closed-form Hamming costs for a (m, n) matrix; instances without a
+    closed form are rejected (use the enumeration/sampling oracles instead)."""
     xs = _rows(c, xs)
-    if c.kind is ConstraintKind.ALL_DIFFERENT and c.d >= c.n:
+    if not has_closed_form(c):
+        raise ValueError(f"no closed-form Hamming cost for {c.kind.value}")
+    if c.kind is ConstraintKind.ALL_DIFFERENT:
         s = np.sort(xs, axis=1)
         distinct = 1 + (s[:, 1:] != s[:, :-1]).sum(axis=1)
         return (c.n - distinct).astype(np.int64)
@@ -168,27 +150,25 @@ def reference_costs_batch(c: ConstraintInstance, xs: np.ndarray) -> np.ndarray:
         return (xs < c.p).sum(axis=1).astype(np.int64)
     if c.kind is ConstraintKind.ORDERED:
         return np.array([c.n - _longest_nondecreasing_run(row) for row in xs], dtype=np.int64)
-    if c.kind is ConstraintKind.LINEAR_SUM:
-        if not c.n * c.lo <= c.p <= c.n * c.hi:
-            raise ValueError(f"linearsum with p={c.p} has no solution on {c.n} x [{c.lo}, {c.hi}]")
-        delta = c.p - xs.sum(axis=1)
-        room = np.where(delta[:, None] > 0, c.hi - xs, xs - c.lo)
-        room = -np.sort(-room, axis=1)
-        reach = np.cumsum(room, axis=1)
-        need = np.abs(delta)
-        counts = 1 + (reach < need[:, None]).sum(axis=1)
-        return np.where(need == 0, 0, counts).astype(np.int64)
-    raise ValueError(f"no closed-form Hamming cost for {c.kind.value}")
+    # LinearSum: move the values with the most room toward p first.
+    if not c.n * c.lo <= c.p <= c.n * c.hi:
+        raise ValueError(f"linearsum with p={c.p} has no solution on {c.n} x [{c.lo}, {c.hi}]")
+    delta = c.p - xs.sum(axis=1)
+    room = np.where(delta[:, None] > 0, c.hi - xs, xs - c.lo)
+    room = -np.sort(-room, axis=1)
+    reach = np.cumsum(room, axis=1)
+    need = np.abs(delta)
+    counts = 1 + (reach < need[:, None]).sum(axis=1)
+    return np.where(need == 0, 0, counts).astype(np.int64)
 
 
 def has_closed_form(c: ConstraintInstance) -> bool:
+    """Whether reference_costs_batch knows c's exact Hamming cost: every kind
+    but NoOverlap1D, and AllDifferent only while d >= n (the counting
+    argument needs a free value for every repeated one)."""
     if c.kind is ConstraintKind.ALL_DIFFERENT:
         return c.d >= c.n
-    return c.kind in (
-        ConstraintKind.MINIMUM,
-        ConstraintKind.ORDERED,
-        ConstraintKind.LINEAR_SUM,
-    )
+    return c.kind is not ConstraintKind.NO_OVERLAP_1D
 
 
 # Keys a constraint line must carry; p is optional and defaults to 0.

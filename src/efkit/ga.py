@@ -18,6 +18,7 @@ from typing import Callable, Optional
 from . import icn
 from .icn import Genome, SpaceEvaluator
 from .spaces import LabeledSpace
+from .util import map_jobs
 
 
 @dataclass
@@ -203,9 +204,4 @@ def learn_many(
 ) -> list[LearnResult]:
     """Independent seeded runs on one space; results follow seed order."""
     configs = [(space, dataclasses.replace(cfg, rng_seed=seed)) for seed in seeds]
-    if jobs > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_learn_worker, configs))
-    return [_learn_worker(task) for task in configs]
+    return map_jobs(_learn_worker, configs, jobs)

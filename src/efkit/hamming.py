@@ -138,6 +138,20 @@ def approx_hamming(x: Sequence[int], s: SolutionSet) -> int:
     return int(nearest_distances(np.asarray([x], dtype=np.int64), s.solutions)[0])
 
 
+def hamming_reference(c: ConstraintInstance, x: Sequence[int]) -> int:
+    """Exact Hamming cost of x: one-row concepts.reference_costs_batch where
+    a closed form is known.
+
+    NoOverlap1D has no trusted closed form and is answered by enumeration,
+    as is AllDifferent when the domain is too small for the counting
+    argument (d < n).
+    """
+    c.check_assignment(x)
+    if concepts.has_closed_form(c):
+        return int(concepts.reference_costs_batch(c, [x])[0])
+    return exact_hamming(x, exhaustive_solution_set(c))
+
+
 def label_space_costs(space: LabeledSpace, s: SolutionSet) -> LabeledSpace:
     """Fill every entry cost from the solution set; solutions cost 0.
 

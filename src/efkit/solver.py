@@ -19,6 +19,7 @@ import numpy as np
 
 from . import icn
 from .icn import ErrorFunction, EvalContext, Genome
+from .util import derive_seeds, map_jobs
 
 SUDOKU_VARIANTS = ("predicate", "handcrafted", "icn_feedforward", "icn_hardcoded")
 
@@ -70,6 +71,8 @@ class Constraint:
     error_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
+        if len(set(self.scope)) != len(self.scope):
+            raise ValueError(f"scope {tuple(self.scope)} names a variable more than once")
         if self.error_batch is None and self.error is not None:
             error = self.error
             self.error_batch = lambda X: np.array([error(r) for r in X.tolist()], dtype=np.int64)
@@ -186,23 +189,18 @@ def solve(
     ncons = len(constraints)
     domains = model.domains
     scopes = [np.array(con.scope, dtype=np.intp) for con in constraints]
-    var_constraints: list[list[int]] = [[] for _ in range(nvars)]
-    for ci, con in enumerate(constraints):
-        for v in con.scope:
-            var_constraints[v].append(ci)
-    # Fancy-index matrix for the per-variable penalty scan; rows are padded
-    # with a sentinel slot that always holds error 0.
-    max_deg = max((len(lst) for lst in var_constraints), default=1)
-    var_cons_idx = np.full((nvars, max_deg), ncons, dtype=np.intp)
-    for v, lst in enumerate(var_constraints):
-        var_cons_idx[v, : len(lst)] = lst
+    # incidence[v, ci] is 1 when constraint ci has variable v in its scope,
+    # so a variable's penalty is incidence @ errors.
+    incidence = np.zeros((nvars, ncons), dtype=np.int64)
+    for ci, scope in enumerate(scopes):
+        incidence[scope, ci] = 1
     # Each variable's scoring plan: its constraints grouped by evaluator and
     # scope width, so that a move makes one stacked error_batch call per
     # group (network overhead is per call, not per row).
     plans = []
-    for v, lst in enumerate(var_constraints):
+    for row in incidence:
         groups: dict[tuple, list[int]] = {}
-        for ci in lst:
+        for ci in np.flatnonzero(row).tolist():
             groups.setdefault((constraints[ci].error_batch, len(scopes[ci])), []).append(ci)
         plans.append([
             (error_batch, np.array(members), np.stack([scopes[ci] for ci in members]))
@@ -213,7 +211,7 @@ def solve(
     deadline = start + timeout_ms / 1000.0
     iterations = 0
     restarts = 0
-    errors = np.zeros(ncons + 1, dtype=np.int64)
+    errors = np.zeros(ncons, dtype=np.int64)
     # A variable with a one-value domain cannot move: it stays tabu for good.
     fixed = np.array([lo == hi for lo, hi in domains], dtype=bool)
     movable = np.flatnonzero(~fixed)
@@ -243,7 +241,7 @@ def solve(
                 return finish("timeout", None)
             iterations += 1
 
-            penalties = errors[var_cons_idx].sum(axis=1)
+            penalties = incidence @ errors
             blocked = tabu_until >= iterations
             penalties[blocked] = -1
             worst = penalties.max()
@@ -309,11 +307,6 @@ class BenchmarkStats:
     rows: list[tuple] = field(default_factory=list)  # (run, seed, status, ms, iters, restarts)
 
 
-def derive_seeds(master_seed: int, count: int) -> list[int]:
-    """Per-run seeds from one master seed, stable across platforms."""
-    return [int(s) for s in np.random.SeedSequence(master_seed).generate_state(count)]
-
-
 def _run_one(args) -> tuple:
     k, variant, genome, timeout_ms, run, seed, tenure, plateau = args
     model = build_sudoku(k, variant, genome=genome)
@@ -342,14 +335,7 @@ def benchmark_sudoku(
         (k, variant, genome, timeout_ms, run, seeds[run], tabu_tenure, plateau_budget)
         for run in range(runs)
     ]
-    if jobs > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_one, tasks))
-    else:
-        rows = [_run_one(task) for task in tasks]
-    rows.sort(key=lambda row: row[0])
+    rows = map_jobs(_run_one, tasks, jobs)
     solved_ms = [row[3] for row in rows if row[2] == "solved"]
     timeouts = runs - len(solved_ms)
     mean_ms = statistics.fmean(solved_ms) if solved_ms else None

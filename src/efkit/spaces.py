@@ -43,6 +43,10 @@ class SamplingExhaustedError(Exception):
     """The draw budget ran out before both class quotas were met."""
 
 
+class NoDirectSamplerError(ValueError):
+    """sample_solutions has no direct sampler for the constraint's kind."""
+
+
 @dataclass
 class LabeledSpace:
     """Assignments of one constraint with labels and optional costs.
@@ -109,17 +113,14 @@ def enumerate_complete(
 
 
 def _lhs_batch(c: ConstraintInstance, b: int, rng: np.random.Generator) -> np.ndarray:
-    """One Latin hypercube batch of b assignments (b <= d).
+    """One Latin hypercube batch of b < d assignments (full batches of d
+    come from _full_batch_block).
 
     The domain is split per variable into b near-equal strata; every
     stratum is used exactly once per variable, in an independent random
     order per variable.
     """
     d, n = c.d, c.n
-    if b == d:
-        # Singleton strata: each column is a permutation of the domain.
-        order = rng.random((d, n)).argsort(axis=0)
-        return (c.lo + order).astype(np.int64)
     bounds = [(i * d) // b for i in range(b + 1)]
     out = np.empty((b, n), dtype=np.int64)
     for j in range(n):
@@ -216,23 +217,13 @@ def sample_balanced(
     return LabeledSpace(c, xs, labels, None, complete=False)
 
 
-# Kinds that sample_solutions draws directly.
-_DIRECT_SAMPLER_KINDS = frozenset(
-    {
-        ConstraintKind.ALL_DIFFERENT,
-        ConstraintKind.MINIMUM,
-        ConstraintKind.ORDERED,
-        ConstraintKind.NO_OVERLAP_1D,
-    }
-)
-
-
 def sample_solutions(c: ConstraintInstance, count: int, rng_seed: int) -> np.ndarray:
     """count solutions drawn directly, uniformly over the solution set.
 
     Needed for constraints whose solution rate makes rejection hopeless
-    (an AllDifferent over 100 variables has a rate near 1e-42). LinearSum
-    has no direct sampler here; use rejection at a reachable rate instead.
+    (an AllDifferent over 100 variables has a rate near 1e-42). A kind
+    without a direct sampler raises NoDirectSamplerError before drawing;
+    use rejection at a reachable rate for it instead.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -269,7 +260,7 @@ def sample_solutions(c: ConstraintInstance, count: int, rng_seed: int) -> np.nda
             starts = c.lo + picks + np.arange(n) * (c.p - 1)
             out[i] = rng.permutation(starts)
         return out
-    raise ValueError(f"no direct solution sampler for {c.kind.value}")
+    raise NoDirectSamplerError(f"no direct solution sampler for {c.kind.value}")
 
 
 def sample_balanced_direct(
@@ -286,11 +277,13 @@ def sample_balanced_direct(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    direct = c.kind in _DIRECT_SAMPLER_KINDS
-    sols = sample_solutions(c, k, rng_seed) if direct else None
+    try:
+        sols = sample_solutions(c, k, rng_seed)
+    except NoDirectSamplerError:
+        sols = None
     rng = np.random.default_rng(rng_seed + 1)
-    xs, labels = _draw_classes(c, 0 if direct else k, k, rng, draw_budget)
-    if not direct:
+    xs, labels = _draw_classes(c, k if sols is None else 0, k, rng, draw_budget)
+    if sols is None:
         sols = xs[labels]
     xs = np.concatenate([sols, xs[~labels]], axis=0)
     labels = np.concatenate([np.ones(k, dtype=bool), np.zeros(k, dtype=bool)])

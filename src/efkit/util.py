@@ -1,10 +1,29 @@
-"""Small shared helpers: digests and run manifests."""
+"""Small shared helpers: seeded runs, digests and run manifests."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 from pathlib import Path
+from typing import Callable, Sequence
+
+import numpy as np
+
+
+def derive_seeds(master_seed: int, count: int) -> list[int]:
+    """Per-run seeds from one master seed, stable across platforms."""
+    return [int(s) for s in np.random.SeedSequence(master_seed).generate_state(count)]
+
+
+def map_jobs(worker: Callable, tasks: Sequence, jobs: int) -> list:
+    """worker applied to every task, results in task order; in a pool of
+    jobs processes when jobs > 1 (worker and tasks must then pickle)."""
+    if jobs <= 1:
+        return [worker(task) for task in tasks]
+    import concurrent.futures  # only here, to keep `import efkit` light
+
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(worker, tasks))
 
 
 def sha256_file(path) -> str:

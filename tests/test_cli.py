@@ -201,6 +201,8 @@ def test_eval_rejects_malformed_genome_file(tmp_path, alldiff_space, capsys):
         ("steady_stop=1.5", "steady_stop must be an integer, got '1.5'"),
         ("rng_seed=7", "the GA seed is set by --seed"),
         ("selection_tournament_size=2", "expected `<population_size|"),
+        ("population_size=1_6", "population_size must be an integer, got '1_6'"),
+        ("max_generations=+5", "max_generations must be an integer, got '+5'"),
     ],
 )
 def test_learn_config_file_errors_name_file_and_line(tmp_path, alldiff_space, capsys, line, message):
@@ -240,6 +242,36 @@ def test_solve_writes_csv(tmp_path, capsys):
     assert len(lines) == 4
     assert all(line.startswith("icn_hardcoded,3,") for line in lines[1:])
     assert "timeouts=0/3" in capsys.readouterr().out
+
+
+# Each command line is valid until the flag is given again with a value that
+# int() takes but a file integer may not be; parsing stops before any command
+# runs or writes.
+GEN_SPACE = ["gen-space", "--kind", "alldiff", "--n", "3", "--lo", "1", "--hi", "4",
+             "--complete", "--out", "s.txt"]
+LEARN = ["learn", "--space", "train.space.txt", "--out-dir", "runs"]
+SOLVE = ["solve", "--variant", "icn_hardcoded", "--out", "b.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (GEN_SPACE, "--hi", "\uff14"),
+        (GEN_SPACE, "--p", "+0"),
+        (GEN_SPACE, "--n", "0_3"),
+        (GEN_SPACE, "--seed", " 1"),
+        (LEARN, "--population-size", "1_6"),
+        (LEARN, "--runs", "\uff12"),
+        (SOLVE, "--runs", "+3"),
+        (SOLVE, "--k", "\uff13"),
+        (SOLVE, "--timeout", "1_000"),
+    ],
+)
+def test_integer_flags_are_read_strictly(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, flag, value)
+    assert exc.value.code == 1
+    assert f"argument {flag}: invalid integer value: {value!r}" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(capsys):

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +12,13 @@ from efkit.concepts import (
     concept_holds,
     concept_holds_batch,
     format_constraint_line,
-    hamming_reference,
     parse_constraint_line,
     parse_int,
     parse_ints,
     parse_kind,
     reference_costs_batch,
 )
+from efkit.hamming import hamming_reference
 
 from oracles import all_assignments, brute_force_hamming, concept_naive
 
@@ -206,3 +207,20 @@ def _or_none(parse, *args):
 def test_parse_ints_is_parse_int_word_by_word(text):
     expected = _or_none(lambda: [parse_int(word) for word in text.split()])
     assert _or_none(parse_ints, text) == expected
+
+
+def test_concepts_imports_no_efkit_module():
+    """concepts is the bottom layer: every other module may import it, so it
+    imports none of them (a lazy import inside a function included)."""
+    import ast
+
+    import efkit.concepts
+
+    tree = ast.parse(Path(efkit.concepts.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert not [name for name in imported if name.startswith((".", "efkit"))], imported

@@ -4,13 +4,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from efkit import hamming
-from efkit.concepts import ConstraintInstance, ConstraintKind, concept_holds, hamming_reference
+from efkit.concepts import ConstraintInstance, ConstraintKind, concept_holds
 from efkit.hamming import (
     SolutionSet,
     UnsatisfiableConstraintError,
     approx_hamming,
     exact_hamming,
     exhaustive_solution_set,
+    hamming_reference,
     label_space_costs,
     label_space_costs_reference,
     nearest_distances,

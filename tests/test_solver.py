@@ -247,3 +247,10 @@ def test_feedforward_makes_one_network_call_per_move(monkeypatch):
     assert out.status == "solved" and out.restarts >= 1
     assert len(calls) == out.iterations + 27 * (out.restarts + 1)
     assert calls.count(3 * 8) == out.iterations
+
+
+def test_constraint_rejects_a_repeated_variable():
+    # Counted twice, such a constraint would weigh double in the penalty
+    # scan and in its variable's scoring plan.
+    with pytest.raises(ValueError, match="names a variable more than once"):
+        Constraint(scope=(0, 1, 0), error=alldiff_primal_violation, predicate=lambda vals: True)

@@ -28,8 +28,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def integer(text: str) -> int:
-    """An integer flag, read as strictly as file integers (concepts.parse_int);
-    argparse names it by this function's name."""
+    """concepts.parse_int under the name argparse's error messages show."""
     return concepts.parse_int(text)
 
 

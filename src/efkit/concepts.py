@@ -150,7 +150,7 @@ def reference_costs_batch(c: ConstraintInstance, xs: np.ndarray) -> np.ndarray:
         return (xs < c.p).sum(axis=1).astype(np.int64)
     if c.kind is ConstraintKind.ORDERED:
         return np.array([c.n - _longest_nondecreasing_run(row) for row in xs], dtype=np.int64)
-    # LinearSum: move the values with the most room toward p first.
+    # LinearSum, the one kind left: move the values with the most room toward p first.
     if not c.n * c.lo <= c.p <= c.n * c.hi:
         raise ValueError(f"linearsum with p={c.p} has no solution on {c.n} x [{c.lo}, {c.hi}]")
     delta = c.p - xs.sum(axis=1)

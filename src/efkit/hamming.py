@@ -139,13 +139,9 @@ def approx_hamming(x: Sequence[int], s: SolutionSet) -> int:
 
 
 def hamming_reference(c: ConstraintInstance, x: Sequence[int]) -> int:
-    """Exact Hamming cost of x: one-row concepts.reference_costs_batch where
-    a closed form is known.
-
-    NoOverlap1D has no trusted closed form and is answered by enumeration,
-    as is AllDifferent when the domain is too small for the counting
-    argument (d < n).
-    """
+    """Exact Hamming cost of x: one-row concepts.reference_costs_batch when
+    concepts.has_closed_form(c), else the distance to every solution found
+    by enumeration."""
     c.check_assignment(x)
     if concepts.has_closed_form(c):
         return int(concepts.reference_costs_batch(c, [x])[0])

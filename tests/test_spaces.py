@@ -295,6 +295,35 @@ def test_sampled_space_golden_files(tmp_path):
     assert {name: tuple(d) for name, d in got.items()} == GOLDEN_SPACES
 
 
+# sha256 prefixes at seeds 0 and 1 of the seeded streams on either side of
+# the LHS block's 64-bit key cut-off (d = 2048 packs draw and row into one
+# key, d = 2049 does not) and of a balanced AllDifferent space whose value
+# span (100) is too wide for the one-mask label, computed before the blocks
+# were drawn with packed keys.
+GOLDEN_CUTOFFS = {
+    "lhs-d2048": ("fd1addb5104a8809", "2b55f61f02028353"),
+    "lhs-d2049": ("8aa8223f55f548af", "c74132a3bc1a3ac7"),
+    "balanced-alldiff-span100": ("d583d8a69b53c52e", "cb2faf6a964b97d8"),
+}
+
+
+def test_sampled_streams_golden_past_the_cutoffs(tmp_path):
+    def digest(data: bytes):
+        return hashlib.sha256(data).hexdigest()[:16]
+
+    got = {name: [] for name in GOLDEN_CUTOFFS}
+    wide = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 6, -30, 69)
+    for seed in (0, 1):
+        for hi in (2040, 2041):
+            c = ConstraintInstance(ConstraintKind.ORDERED, 3, -7, hi)
+            xs = lhs_sample(c, 2 * c.d + 5, rng_seed=seed)  # two full batches and a partial one
+            got[f"lhs-d{c.d}"].append(digest(np.ascontiguousarray(xs, dtype="<i8").tobytes()))
+        path = tmp_path / "space.txt"
+        save_space(sample_balanced(wide, 30, rng_seed=seed), path)
+        got["balanced-alldiff-span100"].append(digest(path.read_bytes()))
+    assert {name: tuple(d) for name, d in got.items()} == GOLDEN_CUTOFFS
+
+
 @pytest.mark.parametrize(
     "header, message",
     [

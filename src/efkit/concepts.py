@@ -107,6 +107,10 @@ def concept_holds_batch(c: ConstraintInstance, xs: np.ndarray) -> np.ndarray:
     """Vectorized concept predicate over a (m, n) assignment matrix."""
     xs = _rows(c, xs)
     if c.kind is ConstraintKind.ALL_DIFFERENT:
+        if xs.size and int(xs.max()) - (low := int(xs.min())) < 64:
+            # One bit per value in a 64-bit mask: n distinct values set n bits.
+            bits = np.left_shift(np.uint64(1), (xs - low).view(np.uint64))
+            return np.bitwise_count(np.bitwise_or.reduce(bits, axis=1)) == c.n
         s = np.sort(xs, axis=1)
         return ~np.any(s[:, 1:] == s[:, :-1], axis=1)
     if c.kind is ConstraintKind.LINEAR_SUM:

@@ -181,10 +181,14 @@ def solve(
     with the predicates) or at the deadline."""
     if timeout_ms <= 0:
         raise ValueError("timeout_ms must be positive")
-    rng = random.Random(rng_seed)
     nvars = model.variable_count
     if plateau_budget is None:
         plateau_budget = 10 * nvars
+    if plateau_budget < 1:
+        raise ValueError(f"plateau budget must be >= 1, got {plateau_budget}")
+    if tabu_tenure < 0:
+        raise ValueError(f"tabu tenure must be >= 0, got {tabu_tenure}")
+    rng = random.Random(rng_seed)
     constraints = model.constraints
     ncons = len(constraints)
     domains = model.domains

@@ -96,6 +96,8 @@ def enumerate_complete(
     c: ConstraintInstance, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> LabeledSpace:
     """All d^n assignments in lexicographic order, labeled, costs unset."""
+    if cap < 1:
+        raise ValueError(f"enumeration cap must be >= 1, got {cap}")
     size = c.d**c.n
     if size > cap:
         raise EnumerationCapError(
@@ -137,10 +139,31 @@ def _block_batches(c: ConstraintInstance) -> int:
 
 
 def _full_batch_block(c: ConstraintInstance, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count full batches of size d at once; same stream as repeated _lhs_batch."""
+    """count full batches of size d at once, from count * d * n uniforms.
+
+    Each column of a batch visits its d strata in the order of its d draws,
+    equal draws in row order: lo + the stable argsort of the draws along
+    the stratum axis.
+    """
     d, n = c.d, c.n
-    order = rng.random((count, d, n)).argsort(axis=1)
-    return (c.lo + order).reshape(count * d, n).astype(np.int64)
+    u = rng.random((count, d, n))
+    b = (d - 1).bit_length()
+    if 53 + b > 64:
+        order = u.argsort(axis=1, kind="stable")
+    else:
+        # A draw is k * 2^-53 with an integer k < 2^53, so u * 2^(53+b) is
+        # exactly k << b, and (k << b) | row is a 64-bit key that sorts by
+        # draw, then by row; its low b bits are the argsort.
+        u *= 2.0 ** (53 + b)
+        keys = u.astype(np.uint64)
+        del u
+        planes = keys.reshape(count, d * n)  # one row-index pattern per batch
+        planes |= np.repeat(np.arange(d, dtype=np.uint64), n)
+        keys.sort(axis=1)
+        keys &= np.uint64((1 << b) - 1)
+        order = keys.view(np.int64)
+    order += c.lo
+    return order.reshape(count * d, n)
 
 
 def lhs_sample(c: ConstraintInstance, count: int, rng_seed: int) -> np.ndarray:
@@ -174,6 +197,8 @@ def _draw_classes(
     class, in draw order. Raises SamplingExhaustedError when the budget runs
     out first.
     """
+    if draw_budget < 1:
+        raise ValueError(f"draw budget must be >= 1, got {draw_budget}")
     kept_rows: list[np.ndarray] = []
     kept_labels: list[np.ndarray] = []
     n_sol = n_non = 0

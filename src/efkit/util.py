@@ -18,7 +18,9 @@ def derive_seeds(master_seed: int, count: int) -> list[int]:
 def map_jobs(worker: Callable, tasks: Sequence, jobs: int) -> list:
     """worker applied to every task, results in task order; in a pool of
     jobs processes when jobs > 1 (worker and tasks must then pickle)."""
-    if jobs <= 1:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1:
         return [worker(task) for task in tasks]
     import concurrent.futures  # only here, to keep `import efkit` light
 

@@ -274,6 +274,39 @@ def test_integer_flags_are_read_strictly(capsys, argv, flag, value):
     assert f"argument {flag}: invalid integer value: {value!r}" in capsys.readouterr().err
 
 
+SAMPLED = ["gen-space", "--kind", "alldiff", "--n", "3", "--lo", "1", "--hi", "4",
+           "--sampled", "--k", "5", "--out", "s.txt"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (SOLVE + ["--runs", "1", "--plateau", "-5"], "plateau budget must be >= 1, got -5"),
+        (SOLVE + ["--runs", "1", "--plateau", "0"], "plateau budget must be >= 1, got 0"),
+        (SOLVE + ["--runs", "1", "--tenure", "-1"], "tabu tenure must be >= 0, got -1"),
+        (SOLVE + ["--runs", "1", "--jobs", "0"], "jobs must be >= 1, got 0"),
+        (SOLVE + ["--runs", "2", "--jobs", "-2"], "jobs must be >= 1, got -2"),
+        (SAMPLED + ["--budget", "0"], "draw budget must be >= 1, got 0"),
+        (SAMPLED + ["--solutions", "direct", "--budget", "-1"], "draw budget must be >= 1, got -1"),
+        (GEN_SPACE + ["--cap", "0"], "enumeration cap must be >= 1, got 0"),
+    ],
+    ids=["plateau-negative", "plateau-zero", "tenure-negative", "solve-jobs-zero",
+         "solve-jobs-negative", "budget-zero", "direct-budget-negative", "cap-zero"],
+)
+def test_out_of_range_flags_are_input_errors(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 1
+    assert f"efkit: error: {message}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_learn_rejects_nonpositive_jobs(tmp_path, alldiff_space, capsys):
+    out_dir = tmp_path / "runs"
+    assert run_cli(*learn_args(alldiff_space, out_dir, runs=1), "--jobs", "0") == 1
+    assert "efkit: error: jobs must be >= 1, got 0" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("solve", "--variant", "banana")

@@ -209,6 +209,29 @@ def test_parse_ints_is_parse_int_word_by_word(text):
     assert _or_none(parse_ints, text) == expected
 
 
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(
+    span=st.integers(2, 70),
+    n=st.integers(2, 12),
+    lo=st.integers(-100, 100),
+    rows=st.lists(st.lists(st.integers(0, 69), min_size=12, max_size=12), min_size=1, max_size=16),
+)
+@example(span=63, n=12, lo=-1, rows=[list(range(12)), [0] * 12])
+@example(span=64, n=12, lo=-64, rows=[list(range(12)), list(range(11)) + [5]])
+@example(span=65, n=12, lo=0, rows=[list(range(12)), list(range(11)) + [64]])
+@example(span=5, n=6, lo=-3, rows=[list(range(12))] * 2)
+def test_alldiff_label_matches_the_oracle(span, n, lo, rows):
+    """Across the 64-bit value-mask cut-off: every span, negative domains,
+    and n > d, where no row can be all-different."""
+    c = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, n, lo, lo + span - 1)
+    xs = lo + np.array(rows, dtype=np.int64)[:, :n] % span
+    xs[0, :2] = c.lo, c.hi  # the rows take exactly the values [lo, hi]
+    got = concept_holds_batch(c, xs)
+    assert got.tolist() == [concept_naive("alldiff", 0, tuple(row)) for row in xs.tolist()]
+    if n > span:
+        assert not got.any()
+
+
 def test_concepts_imports_no_efkit_module():
     """concepts is the bottom layer: every other module may import it, so it
     imports none of them (a lazy import inside a function included)."""

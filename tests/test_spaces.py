@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from efkit import spaces
 from efkit.concepts import ConstraintInstance, ConstraintKind, concept_holds
@@ -223,6 +225,51 @@ def test_block_size_does_not_change_samples(monkeypatch):
     monkeypatch.setattr(spaces, "_BLOCK_CELLS", 1)  # one batch per block
     for a, b in zip(default, draws(), strict=True):
         assert np.array_equal(a, b)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    d=st.sampled_from([2, 10, 2047, 2048, 2049]) | st.integers(2, 300),
+    n=st.integers(2, 4),
+    lo=st.integers(-3000, 3000),
+    count=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=2048, n=2, lo=-1, count=2, seed=0)
+@example(d=2049, n=3, lo=-2049, count=1, seed=1)
+def test_full_batch_block_is_the_stable_argsort_of_its_draws(d, n, lo, count, seed):
+    c = ConstraintInstance(ConstraintKind.ORDERED, n, lo, lo + d - 1)
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = spaces._full_batch_block(c, count, rng)
+    draws = reference.random((count, d, n))
+    expected = (lo + draws.argsort(axis=1, kind="stable")).reshape(count * d, n)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, expected)
+    # Later blocks continue the same stream.
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+class _FixedDraws:
+    """Stands in for a Generator whose next random() call returns u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("d", [4, 2048, 2049], ids=lambda d: f"d{d}")
+def test_full_batch_block_breaks_tied_draws_by_row(d):
+    # Column 0 draws one value d times; column 1 draws 0.5, 0.25, 0.5, 0.25, ...
+    u = np.full((1, d, 2), 0.5)
+    u[0, 1::2, 1] = 0.25
+    c = ConstraintInstance(ConstraintKind.ORDERED, 2, -1, d - 2)
+    got = spaces._full_batch_block(c, 1, _FixedDraws(u))
+    rows = np.arange(d)
+    assert np.array_equal(got[:, 0], rows - 1)
+    assert np.array_equal(got[:, 1], np.concatenate([rows[1::2], rows[0::2]]) - 1)
 
 
 HEADER = "# constraint kind=alldiff n=3 lo=1 hi=4 p=0 complete=0\n"

@@ -104,7 +104,10 @@ def concept_holds(c: ConstraintInstance, x: Sequence[int]) -> bool:
 
 
 def concept_holds_batch(c: ConstraintInstance, xs: np.ndarray) -> np.ndarray:
-    """Vectorized concept predicate over a (m, n) assignment matrix."""
+    """Vectorized concept predicate over a (m, n) assignment matrix.
+
+    AllDifferent uses one 64-bit value mask per row while the values of xs
+    span at most 64 integers, and a row sort otherwise."""
     xs = _rows(c, xs)
     if c.kind is ConstraintKind.ALL_DIFFERENT:
         if xs.size and int(xs.max()) - (low := int(xs.min())) < 64:

@@ -49,15 +49,10 @@ def cmd_gen_space(args) -> int:
         space = spaces.sample_balanced_direct(c, args.k, args.seed, draw_budget=args.budget)
     else:
         space = spaces.sample_balanced(c, args.k, args.seed, draw_budget=args.budget)
-    mode = args.costs
-    if mode == "auto":
-        mode = "exact" if space.complete else "nearest"
-    if mode == "exact" and not space.complete:
-        raise ValueError("--costs exact needs a complete space; use nearest or reference")
-    if mode in ("exact", "nearest"):
-        space = hamming.label_space_costs(space, hamming.solution_set_from_space(space))
-    elif mode == "reference":
+    if args.costs == "reference":
         space = hamming.label_space_costs_reference(space)
+    else:
+        space = hamming.label_space_costs(space, hamming.solution_set_from_space(space))
     out = Path(args.out)
     spaces.save_space(space, out)
     util.write_manifest(
@@ -199,7 +194,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    genome = icn.load_genome(args.genome).genome if args.genome else None
+    genome = None
+    if args.genome:
+        ef = icn.load_genome(args.genome)
+        if ef.ctx.kind not in (None, concepts.ConstraintKind.ALL_DIFFERENT):
+            raise ValueError(
+                f"{args.genome}: genome was learned for {ef.ctx.kind.value}, "
+                "Sudoku needs alldiff"
+            )
+        genome = ef.genome
     stats = solver.benchmark_sudoku(
         k=args.k,
         variant=args.variant,
@@ -208,8 +211,6 @@ def cmd_solve(args) -> int:
         seed=args.seed,
         genome=genome,
         jobs=args.jobs,
-        tabu_tenure=args.tenure,
-        plateau_budget=args.plateau,
     )
     out = Path(args.out)
     with open(out, "w", newline="") as fh:
@@ -264,10 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=integer, default=spaces.DEFAULT_DRAW_BUDGET)
     p.add_argument(
         "--costs",
-        choices=["auto", "exact", "nearest", "reference", "none"],
+        choices=["auto", "reference"],
         default="auto",
-        help="auto: exact for complete spaces, nearest sampled solution otherwise; "
-        "reference: per-kind closed forms (for large test sets)",
+        help="auto: Hamming distance to the nearest solution in the space, exact for "
+        "complete spaces; reference: per-kind closed forms (for large test sets)",
     )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_space)
@@ -296,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--genome", help="genome file for the icn variants")
     p.add_argument("--jobs", type=integer, default=1)
-    p.add_argument("--tenure", type=integer, default=2)
-    p.add_argument("--plateau", type=integer, default=None)
     p.add_argument("--out", default="sudoku_benchmark.csv")
     p.set_defaults(func=cmd_solve)
     return parser

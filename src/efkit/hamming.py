@@ -49,11 +49,9 @@ class SolutionSet:
         return len(self.solutions)
 
 
-def exhaustive_solution_set(
-    c: ConstraintInstance, cap: int = spaces.DEFAULT_ENUMERATION_CAP
-) -> SolutionSet:
+def exhaustive_solution_set(c: ConstraintInstance) -> SolutionSet:
     """Every solution of the complete space, found by enumeration."""
-    space = spaces.enumerate_complete(c, cap=cap)
+    space = spaces.enumerate_complete(c)
     return SolutionSet(c, space.assignments[space.labels], exhaustive=True)
 
 

@@ -385,9 +385,6 @@ class ErrorFunction:
     ) -> np.ndarray:
         return network_outputs(self.genome, self.ctx, X, diagnostics)
 
-    def describe(self) -> str:
-        return describe_genome(self.genome)
-
 
 def describe_genome(g: Genome) -> str:
     """Symbolic rendering, innermost layer first, identity comparison elided."""

@@ -3,8 +3,9 @@ Sudoku builders used to compare constraint representations.
 
 The search is a tabu-flavoured min-conflicts loop: pick the most
 penalized non-tabu variable, move it to its best value, and restart from
-scratch after a long plateau. Predicate models are guided by the count of
-violated constraints, error-function models by summed constraint errors.
+scratch after a long plateau. It is guided by summed constraint errors; a
+predicate-only constraint reports the 0/1 violation indicator, so its
+model is guided by the count of violated constraints.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ from .icn import ErrorFunction, EvalContext, Genome
 from .util import derive_seeds, map_jobs
 
 SUDOKU_VARIANTS = ("predicate", "handcrafted", "icn_feedforward", "icn_hardcoded")
+# The search is fixed, not tuned: the paper compares constraint
+# representations under one local search. A moved variable stays tabu for
+# TABU_TENURE iterations; a restart follows PLATEAU_MOVES_PER_VARIABLE
+# moves per variable without a new best total.
+TABU_TENURE = 2
+PLATEAU_MOVES_PER_VARIABLE = 10
 
 
 def alldiff_primal_violation(x: Sequence[int]) -> int:
@@ -54,15 +61,25 @@ def _duplicate_positions_batch(X: np.ndarray) -> np.ndarray:
     return (ordered[:, 1:] == ordered[:, :-1]).sum(axis=1)
 
 
+def _has_duplicate(x: Sequence[int]) -> int:
+    # The predicate variant's error: the 0/1 violation indicator.
+    return int(_duplicate_positions(x) > 0)
+
+
+def _has_duplicate_batch(X: np.ndarray) -> np.ndarray:
+    """_has_duplicate of each row."""
+    return (_duplicate_positions_batch(X) > 0).astype(np.int64)
+
+
 @dataclass
 class Constraint:
     """A scoped constraint with a guidance error and a ground-truth predicate.
 
     error returns a non-negative integer, 0 exactly when the predicate is
-    intended to hold; for predicate-only models it is the 0/1 violation
-    indicator. error_batch maps a (rows, len(scope)) int64 candidate matrix
-    to one error per row; left out, it applies error row by row. The solver
-    calls only error_batch.
+    intended to hold; for a predicate-only constraint it is the 0/1
+    violation indicator. error is required. error_batch maps a (rows,
+    len(scope)) int64 candidate matrix to one error per row; left out, it
+    applies error row by row. The solver calls only error_batch.
     """
 
     scope: tuple[int, ...]
@@ -73,7 +90,9 @@ class Constraint:
     def __post_init__(self):
         if len(set(self.scope)) != len(self.scope):
             raise ValueError(f"scope {tuple(self.scope)} names a variable more than once")
-        if self.error_batch is None and self.error is not None:
+        if self.error is None:
+            raise ValueError(f"constraint on scope {tuple(self.scope)} has no error function")
+        if self.error_batch is None:
             error = self.error
             self.error_batch = lambda X: np.array([error(r) for r in X.tolist()], dtype=np.int64)
 
@@ -82,7 +101,6 @@ class Constraint:
 class Model:
     domains: list[tuple[int, int]]  # inclusive per-variable intervals
     constraints: list[Constraint]
-    kind: str = "efsp"
 
     @property
     def variable_count(self) -> int:
@@ -92,23 +110,6 @@ class Model:
         return all(
             con.predicate([assignment[i] for i in con.scope]) for con in self.constraints
         )
-
-
-def CspModel(domains, constraints) -> Model:
-    """Predicate model: guidance is the violated-constraint indicator."""
-    wrapped = [
-        Constraint(
-            scope=con.scope,
-            error=(lambda pred: lambda vals: 0 if pred(vals) else 1)(con.predicate),
-            predicate=con.predicate,
-        )
-        for con in constraints
-    ]
-    return Model(domains=domains, constraints=wrapped, kind="csp")
-
-
-def EfspModel(domains, constraints) -> Model:
-    return Model(domains=domains, constraints=constraints, kind="efsp")
 
 
 @dataclass
@@ -131,6 +132,8 @@ def build_sudoku(
         raise ValueError(f"supported grid orders are 3 and 4, got {k}")
     if variant not in SUDOKU_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; pick one of {SUDOKU_VARIANTS}")
+    if genome is not None and variant in ("predicate", "handcrafted"):
+        raise ValueError(f"variant {variant} takes no genome; only the icn variants use one")
     n = k * k
     scopes: list[tuple[int, ...]] = []
     for r in range(n):
@@ -145,9 +148,8 @@ def build_sudoku(
     domains = [(1, n)] * (n * n)
 
     if variant == "predicate":
-        cons = [Constraint(scope=s, error=None, predicate=_all_distinct) for s in scopes]
-        return CspModel(domains, cons)
-    if variant == "handcrafted":
+        error, error_batch = _has_duplicate, _has_duplicate_batch
+    elif variant == "handcrafted":
         error, error_batch = alldiff_primal_violation, alldiff_primal_violation_batch
     else:
         reference = icn.alldifferent_reference_genome()
@@ -167,27 +169,16 @@ def build_sudoku(
         Constraint(scope=s, error=error, predicate=_all_distinct, error_batch=error_batch)
         for s in scopes
     ]
-    return EfspModel(domains, cons)
+    return Model(domains, cons)
 
 
-def solve(
-    model: Model,
-    timeout_ms: int,
-    rng_seed: int,
-    tabu_tenure: int = 2,
-    plateau_budget: Optional[int] = None,
-) -> SolveOutcome:
+def solve(model: Model, timeout_ms: int, rng_seed: int) -> SolveOutcome:
     """Tabu min-conflicts with restarts; stops at total error 0 (re-checked
     with the predicates) or at the deadline."""
     if timeout_ms <= 0:
         raise ValueError("timeout_ms must be positive")
     nvars = model.variable_count
-    if plateau_budget is None:
-        plateau_budget = 10 * nvars
-    if plateau_budget < 1:
-        raise ValueError(f"plateau budget must be >= 1, got {plateau_budget}")
-    if tabu_tenure < 0:
-        raise ValueError(f"tabu tenure must be >= 0, got {tabu_tenure}")
+    plateau_budget = PLATEAU_MOVES_PER_VARIABLE * nvars
     rng = random.Random(rng_seed)
     constraints = model.constraints
     ncons = len(constraints)
@@ -284,7 +275,7 @@ def solve(
             for members, out in outs:
                 errors[members] = out[pick]
             total = int(errors.sum())
-            tabu_until[var] = iterations + tabu_tenure
+            tabu_until[var] = iterations + TABU_TENURE
 
             if total < best_total:
                 best_total = total
@@ -312,9 +303,9 @@ class BenchmarkStats:
 
 
 def _run_one(args) -> tuple:
-    k, variant, genome, timeout_ms, run, seed, tenure, plateau = args
+    k, variant, genome, timeout_ms, run, seed = args
     model = build_sudoku(k, variant, genome=genome)
-    outcome = solve(model, timeout_ms, seed, tabu_tenure=tenure, plateau_budget=plateau)
+    outcome = solve(model, timeout_ms, seed)
     return (run, seed, outcome.status, outcome.elapsed_ms, outcome.iterations, outcome.restarts)
 
 
@@ -326,8 +317,6 @@ def benchmark_sudoku(
     seed: int,
     genome: Optional[Genome] = None,
     jobs: int = 1,
-    tabu_tenure: int = 2,
-    plateau_budget: Optional[int] = None,
 ) -> BenchmarkStats:
     """runs independent solves with derived sub-seeds; timed-out runs are
     counted but excluded from the runtime statistics."""
@@ -335,10 +324,7 @@ def benchmark_sudoku(
         raise ValueError("runs must be >= 1")
     build_sudoku(k, variant, genome=genome)  # validate arguments up front
     seeds = derive_seeds(seed, runs)
-    tasks = [
-        (k, variant, genome, timeout_ms, run, seeds[run], tabu_tenure, plateau_budget)
-        for run in range(runs)
-    ]
+    tasks = [(k, variant, genome, timeout_ms, run, seeds[run]) for run in range(runs)]
     rows = map_jobs(_run_one, tasks, jobs)
     solved_ms = [row[3] for row in rows if row[2] == "solved"]
     timeouts = runs - len(solved_ms)

@@ -1,10 +1,14 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from efkit import icn
-from efkit.cli import main
+from efkit.cli import build_parser, main
+from efkit.concepts import ConstraintInstance, ConstraintKind
 from efkit.spaces import load_space
 
 
@@ -281,23 +285,63 @@ SAMPLED = ["gen-space", "--kind", "alldiff", "--n", "3", "--lo", "1", "--hi", "4
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (SOLVE + ["--runs", "1", "--plateau", "-5"], "plateau budget must be >= 1, got -5"),
-        (SOLVE + ["--runs", "1", "--plateau", "0"], "plateau budget must be >= 1, got 0"),
-        (SOLVE + ["--runs", "1", "--tenure", "-1"], "tabu tenure must be >= 0, got -1"),
         (SOLVE + ["--runs", "1", "--jobs", "0"], "jobs must be >= 1, got 0"),
         (SOLVE + ["--runs", "2", "--jobs", "-2"], "jobs must be >= 1, got -2"),
         (SAMPLED + ["--budget", "0"], "draw budget must be >= 1, got 0"),
         (SAMPLED + ["--solutions", "direct", "--budget", "-1"], "draw budget must be >= 1, got -1"),
         (GEN_SPACE + ["--cap", "0"], "enumeration cap must be >= 1, got 0"),
     ],
-    ids=["plateau-negative", "plateau-zero", "tenure-negative", "solve-jobs-zero",
-         "solve-jobs-negative", "budget-zero", "direct-budget-negative", "cap-zero"],
+    ids=["solve-jobs-zero", "solve-jobs-negative", "budget-zero", "direct-budget-negative", "cap-zero"],
 )
 def test_out_of_range_flags_are_input_errors(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     assert run_cli(*argv) == 1
     assert f"efkit: error: {message}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+# The search constants and the cost modes that matched `auto` or wrote a
+# space nothing reads are not settings.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        SOLVE + ["--runs", "1", "--tenure", "2"],
+        SOLVE + ["--runs", "1", "--plateau", "810"],
+        GEN_SPACE + ["--costs", "exact"],
+        GEN_SPACE + ["--costs", "nearest"],
+        GEN_SPACE + ["--costs", "none"],
+    ],
+    ids=["tenure", "plateau", "costs-exact", "costs-nearest", "costs-none"],
+)
+def test_removed_settings_are_usage_errors(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 1
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "variant, genome, constraint, message",
+    [
+        ("handcrafted", icn.alldifferent_reference_genome(),
+         ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 9, 1, 9),
+         "efkit: error: variant handcrafted takes no genome"),
+        ("icn_feedforward", icn.linear_sum_reference_genome(),
+         ConstraintInstance(ConstraintKind.LINEAR_SUM, 4, 1, 6, 14),
+         "efkit: error: g.genome.txt: genome was learned for linearsum"),
+    ],
+    ids=["unused-genome", "wrong-kind"],
+)
+def test_solve_rejects_a_genome_it_cannot_use(tmp_path, monkeypatch, capsys, variant, genome,
+                                              constraint, message):
+    genome_path = tmp_path / "g.genome.txt"
+    icn.save_genome(icn.ErrorFunction(genome, icn.ctx_from_constraint(constraint)), genome_path)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("solve", "--variant", variant, "--runs", "1", "--genome", genome_path.name,
+                   "--out", "b.csv") == 1
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [genome_path.name]
 
 
 def test_learn_rejects_nonpositive_jobs(tmp_path, alldiff_space, capsys):
@@ -314,3 +358,26 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("gen-space", "--kind", "alldiff")
     assert exc.value.code == 1
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every `efkit ...` line in README's fenced blocks,
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("efkit "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: efkit {shlex.join(argv)}")

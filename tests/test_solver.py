@@ -5,10 +5,11 @@ from efkit import icn
 from efkit.icn import EvalContext, ErrorFunction, genome_from_names
 from efkit.solver import (
     Constraint,
-    CspModel,
-    EfspModel,
+    Model,
     _duplicate_positions,
     _duplicate_positions_batch,
+    _has_duplicate,
+    _has_duplicate_batch,
     alldiff_primal_violation,
     alldiff_primal_violation_batch,
     benchmark_sudoku,
@@ -31,6 +32,7 @@ def test_alldiff_primal_violation():
     [
         (alldiff_primal_violation_batch, alldiff_primal_violation),
         (_duplicate_positions_batch, _duplicate_positions),
+        (_has_duplicate_batch, _has_duplicate),
     ],
 )
 def test_batch_errors_match_scalar_references(batch, scalar, width):
@@ -61,13 +63,11 @@ def test_build_sudoku_shapes():
     assert len(m.constraints) == 27
     assert all(len(con.scope) == 9 for con in m.constraints)
     assert m.domains == [(1, 9)] * 81
-    assert m.kind == "csp"
 
     m = build_sudoku(4, "handcrafted")
     assert m.variable_count == 256
     assert len(m.constraints) == 48
     assert all(len(con.scope) == 16 for con in m.constraints)
-    assert m.kind == "efsp"
 
     with pytest.raises(ValueError):
         build_sudoku(2, "predicate")
@@ -101,16 +101,25 @@ def test_feedforward_and_hardcoded_agree():
         assert hc.constraints[0].error(list(row)) == int(expected)
 
 
-def test_csp_model_wraps_predicates():
-    cons = [Constraint(scope=(0, 1), error=None, predicate=lambda v: v[0] != v[1])]
-    m = CspModel([(1, 2), (1, 2)], cons)
-    assert m.constraints[0].error([1, 1]) == 1.0
-    assert m.constraints[0].error([1, 2]) == 0.0
+def test_predicate_sudoku_scores_0_1_through_one_evaluator():
+    # One shared evaluator puts a cell's three constraints in one group, so
+    # a predicate move is one error_batch call, as in the other variants.
+    m = build_sudoku(3, "predicate")
+    assert len({con.error_batch for con in m.constraints}) == 1
+    con = m.constraints[0]
+    X = np.array([list(range(1, 10)), [1] * 9, [1, 2, 3, 4, 5, 6, 7, 8, 8]])
+    assert con.error_batch(X).tolist() == [0, 1, 1]
+    assert [con.error(row) for row in X.tolist()] == [0, 1, 1]
+
+
+def test_constraint_requires_an_error_function():
+    with pytest.raises(ValueError, match="no error function"):
+        Constraint(scope=(0, 1), error=None, predicate=lambda v: v[0] != v[1])
 
 
 def test_solve_trivial_model_is_immediate():
     cons = [Constraint(scope=(0, 1), error=lambda v: 0.0, predicate=lambda v: True)]
-    m = EfspModel([(1, 3), (1, 3)], cons)
+    m = Model([(1, 3), (1, 3)], cons)
     out = solve(m, timeout_ms=1000, rng_seed=0)
     assert out.status == "solved"
     assert out.iterations == 0
@@ -119,7 +128,7 @@ def test_solve_trivial_model_is_immediate():
 
 def test_solve_timeout_is_a_normal_outcome():
     cons = [Constraint(scope=(0, 1), error=lambda v: 1.0, predicate=lambda v: False)]
-    m = EfspModel([(1, 3), (1, 3)], cons)
+    m = Model([(1, 3), (1, 3)], cons)
     out = solve(m, timeout_ms=100, rng_seed=0)
     assert out.status == "timeout"
     assert out.assignment is None
@@ -131,7 +140,7 @@ def test_solve_with_no_movable_variable_times_out_at_once():
     # Both domains hold one value and the constraint is violated: no move
     # exists, so the search gives up without waiting for the deadline.
     cons = [Constraint(scope=(0, 1), error=lambda v: int(v[0] == v[1]), predicate=lambda v: v[0] != v[1])]
-    out = solve(EfspModel([(1, 1), (1, 1)], cons), timeout_ms=10000, rng_seed=0)
+    out = solve(Model([(1, 1), (1, 1)], cons), timeout_ms=10000, rng_seed=0)
     assert out.status == "timeout" and out.assignment is None
     assert out.elapsed_ms < 1000
 
@@ -143,7 +152,7 @@ def test_solve_never_moves_a_fixed_variable():
         predicate=lambda v: len(set(v)) == len(v),
     )
     for seed in range(5):
-        out = solve(EfspModel([(2, 2), (1, 3), (1, 3)], [alldiff]), timeout_ms=10000, rng_seed=seed)
+        out = solve(Model([(2, 2), (1, 3), (1, 3)], [alldiff]), timeout_ms=10000, rng_seed=seed)
         assert out.status == "solved"
         assert out.assignment[0] == 2 and sorted(out.assignment[1:]) == [1, 3]
 

@@ -350,6 +350,8 @@ def test_sampled_space_golden_files(tmp_path):
 GOLDEN_CUTOFFS = {
     "lhs-d2048": ("fd1addb5104a8809", "2b55f61f02028353"),
     "lhs-d2049": ("8aa8223f55f548af", "c74132a3bc1a3ac7"),
+    "blocks-d2048": ("7c6c9b14f7e6a2e0", "d399d5fe9a949245"),
+    "blocks-d2049": ("06b81f644a7e8012", "6d1aa69e0bbae28b"),
     "balanced-alldiff-span100": ("d583d8a69b53c52e", "cb2faf6a964b97d8"),
 }
 
@@ -365,6 +367,9 @@ def test_sampled_streams_golden_past_the_cutoffs(tmp_path):
             c = ConstraintInstance(ConstraintKind.ORDERED, 3, -7, hi)
             xs = lhs_sample(c, 2 * c.d + 5, rng_seed=seed)  # two full batches and a partial one
             got[f"lhs-d{c.d}"].append(digest(np.ascontiguousarray(xs, dtype="<i8").tobytes()))
+            blocks = spaces._full_batch_block(c, 2, np.random.default_rng(seed))
+            assert np.array_equal(blocks, xs[: 2 * c.d])  # the same stream as the lhs-d pins
+            got[f"blocks-d{c.d}"].append(digest(np.ascontiguousarray(blocks, dtype="<i8").tobytes()))
         path = tmp_path / "space.txt"
         save_space(sample_balanced(wide, 30, rng_seed=seed), path)
         got["balanced-alldiff-span100"].append(digest(path.read_bytes()))

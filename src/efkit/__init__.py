@@ -6,7 +6,7 @@ from .concepts import ConstraintInstance, ConstraintKind, concept_holds
 from .ga import GaConfig, LearnResult, learn
 from .hamming import SolutionSet, approx_hamming, exact_hamming, hamming_reference, label_space_costs
 from .icn import ErrorFunction, EvalContext, Genome, loss, normalized_mean_error
-from .spaces import LabeledSpace, enumerate_complete, lhs_sample, sample_balanced
+from .spaces import LabeledSpace, enumerate_complete, sample_balanced
 
 __all__ = [
     "ConstraintInstance",
@@ -27,6 +27,5 @@ __all__ = [
     "normalized_mean_error",
     "LabeledSpace",
     "enumerate_complete",
-    "lhs_sample",
     "sample_balanced",
 ]

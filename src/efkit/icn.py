@@ -11,15 +11,14 @@ each layer applies:
   bits 22..30  comparison: scalar to the final nonnegative error, using
                the evaluation context n, d, p (exactly one).
 
-Selected operations compose into a short, human-readable function; the
-describe/parse pair round-trips that rendering.
+Selected operations compose into a short, human-readable function, which
+describe_genome renders.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -42,17 +41,6 @@ SATURATION_CEILING = 2**31 - 1
 # Pairwise transformation scans run in row blocks of at most this many
 # matrix cells (rows * n * n) to bound peak memory.
 _PAIR_CHUNK_CELLS = 2 * 10**7
-
-
-@dataclass
-class EvalDiagnostics:
-    """Mutable counters filled in by evaluation when passed explicitly."""
-
-    saturation_events: int = 0
-
-    @property
-    def saturated(self) -> bool:
-        return self.saturation_events > 0
 
 
 @dataclass(frozen=True)
@@ -296,10 +284,7 @@ def linear_sum_reference_genome() -> Genome:
 _INT64_MAX = 2**63 - 1
 
 
-def _clamp(values: np.ndarray, diagnostics: Optional[EvalDiagnostics]) -> np.ndarray:
-    if diagnostics is not None:
-        over = int((values > SATURATION_CEILING).sum() + (values < -SATURATION_CEILING).sum())
-        diagnostics.saturation_events += over
+def _clamp(values: np.ndarray) -> np.ndarray:
     return np.clip(values, -SATURATION_CEILING, SATURATION_CEILING).astype(np.int64, copy=False)
 
 
@@ -308,19 +293,12 @@ def _peak(v: np.ndarray) -> int:
     return max(int(v.max()), -int(v.min())) if v.size else 0
 
 
-def _compare(
-    comp: int, ctx: EvalContext, y: np.ndarray, diagnostics: Optional[EvalDiagnostics]
-) -> np.ndarray:
-    return _clamp(_COMPARISON_FNS[comp](y, ctx), diagnostics)
+def _compare(comp: int, ctx: EvalContext, y: np.ndarray) -> np.ndarray:
+    return _clamp(_COMPARISON_FNS[comp](y, ctx))
 
 
 def _forward(
-    arith: int,
-    agg: int,
-    comp: int,
-    ctx: EvalContext,
-    vectors: list[np.ndarray],
-    diagnostics: Optional[EvalDiagnostics],
+    arith: int, agg: int, comp: int, ctx: EvalContext, vectors: list[np.ndarray]
 ) -> np.ndarray:
     # The add path is exact and saturates once, after aggregation. Every
     # partial sum is bounded by n * sum(max |T_t|); while that bound fits
@@ -332,14 +310,14 @@ def _forward(
             vectors = [v.astype(object) for v in vectors]
         combined = vectors[0] if len(vectors) == 1 else np.add.reduce(vectors)
     else:
-        combined = _clamp(vectors[0], diagnostics)
+        combined = _clamp(vectors[0])
         for v in vectors[1:]:
-            combined = _clamp(combined * np.clip(v, -SATURATION_CEILING, SATURATION_CEILING), diagnostics)
+            combined = _clamp(combined * np.clip(v, -SATURATION_CEILING, SATURATION_CEILING))
     if agg == 0:
-        y = _clamp(combined.sum(axis=1), diagnostics)
+        y = _clamp(combined.sum(axis=1))
     else:
         y = (combined > 0).sum(axis=1)  # bounded by the scope size
-    return _compare(comp, ctx, y, diagnostics)
+    return _compare(comp, ctx, y)
 
 
 def _valid_layers(genome: Genome) -> Layers:
@@ -348,19 +326,14 @@ def _valid_layers(genome: Genome) -> Layers:
     return genome.layers
 
 
-def network_outputs(
-    genome: Genome,
-    ctx: EvalContext,
-    X: np.ndarray,
-    diagnostics: Optional[EvalDiagnostics] = None,
-) -> np.ndarray:
+def network_outputs(genome: Genome, ctx: EvalContext, X: np.ndarray) -> np.ndarray:
     """Feed a (m, n) matrix through the four layers; returns (m,) int64 >= 0."""
     t_idx, arith, agg, comp = _valid_layers(genome)
     X = np.asarray(X, dtype=np.int64)
     if X.ndim != 2 or X.shape[1] != ctx.n:
         raise ValueError(f"expected shape (m, {ctx.n}), got {X.shape}")
     vectors = [_TRANSFORMATION_FNS[t](X, ctx) for t in t_idx]
-    return _forward(arith, agg, comp, ctx, vectors, diagnostics)
+    return _forward(arith, agg, comp, ctx, vectors)
 
 
 @dataclass(frozen=True)
@@ -374,16 +347,14 @@ class ErrorFunction:
         if not validate(self.genome):
             raise ValueError("error function requires a valid genome")
 
-    def evaluate(self, x: Sequence[int], diagnostics: Optional[EvalDiagnostics] = None) -> int:
+    def evaluate(self, x: Sequence[int]) -> int:
         if len(x) != self.ctx.n:
             raise ValueError(f"expected {self.ctx.n} values, got {len(x)}")
         X = np.asarray(x, dtype=np.int64)[None, :]
-        return int(self.evaluate_batch(X, diagnostics=diagnostics)[0])
+        return int(self.evaluate_batch(X)[0])
 
-    def evaluate_batch(
-        self, X: np.ndarray, diagnostics: Optional[EvalDiagnostics] = None
-    ) -> np.ndarray:
-        return network_outputs(self.genome, self.ctx, X, diagnostics)
+    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
+        return network_outputs(self.genome, self.ctx, X)
 
 
 def describe_genome(g: Genome) -> str:
@@ -395,33 +366,6 @@ def describe_genome(g: Genome) -> str:
     if comp != 0:
         text = f"{COMPARISON_NAMES[comp]}( {text} )"
     return text
-
-
-_DESCRIBE_RE = re.compile(
-    r"^(?:(?P<comp>{comps})\(\s*)?(?P<agg>{aggs})\(\s*(?P<inner>[^()]*?)\s*\)(?(comp)\s*\))$".format(
-        comps="|".join(re.escape(n) for n in COMPARISON_NAMES if n != "identity"),
-        aggs="|".join(re.escape(n) for n in AGGREGATION_NAMES),
-    )
-)
-
-
-def parse_describe(text: str) -> Genome:
-    """Inverse of describe; omitted layers take their canonical defaults
-    (arithmetic `add` for a single transformation, comparison `identity`)."""
-    match = _DESCRIBE_RE.match(text.strip())
-    if not match:
-        raise ValueError(f"unparseable function description {text!r}")
-    inner = match.group("inner")
-    if " + " in inner and " * " in inner:
-        raise ValueError(f"mixed arithmetic symbols in {text!r}")
-    arithmetic = "mul" if " * " in inner else "add"
-    names = [n.strip() for n in re.split(r" [+*] ", inner)]
-    return genome_from_names(
-        names,
-        arithmetic=arithmetic,
-        aggregation=match.group("agg"),
-        comparison=match.group("comp") or "identity",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +428,7 @@ class SpaceEvaluator:
                 return ((self.mask & bits) != 0).sum(axis=0) if masked else None
             if self.ctx.n * sum(self.peaks[t] for t in t_idx) > _INT64_MAX:
                 return None
-            return _clamp(self.sums[list(t_idx)].sum(axis=0), None)
+            return _clamp(self.sums[list(t_idx)].sum(axis=0))
         if any(self.peaks[t] == 0 for t in t_idx):
             return np.zeros(self.tables.shape[2], dtype=np.int64)
         if agg == 1:
@@ -494,15 +438,15 @@ class SpaceEvaluator:
         combined = self.tables[t_idx[0]] * self.tables[t_idx[1]]
         for t in t_idx[2:]:
             combined *= self.tables[t]
-        return _clamp(combined.sum(axis=0), None)
+        return _clamp(combined.sum(axis=0))
 
     def deviation(self, genome: Genome) -> int:
         t_idx, arith, agg, comp = _valid_layers(genome)
         y = self._aggregate(t_idx, arith, agg)
         if y is None:
-            out = _forward(arith, agg, comp, self.ctx, [self.tables[t].T for t in t_idx], None)
+            out = _forward(arith, agg, comp, self.ctx, [self.tables[t].T for t in t_idx])
         else:
-            out = _compare(comp, self.ctx, y, None)
+            out = _compare(comp, self.ctx, y)
         return int(np.abs(out - self.costs).sum())
 
     def loss(self, genome: Genome) -> float:
@@ -552,13 +496,17 @@ def save_genome(f: ErrorFunction, path) -> None:
 
 
 def load_genome(path) -> ErrorFunction:
-    """Read a genome file, rejecting with the file and line: a bit line that
+    """Read a genome file, rejecting with the file and line: a first line
+    other than the magic line, a missing bit or ctx line, a bit line that
     is not 31 0/1 characters or breaks the layer rules, and a ctx line with
     a token that is not key=value, an unknown or repeated key, an unknown
     kind, a missing or non-integer n, d, p or lo, or n or d below 1."""
     lines = Path(path).read_text().splitlines()
-    if len(lines) < 3 or lines[0].strip() != _GENOME_MAGIC:
-        raise ValueError(f"{path}: not a {_GENOME_MAGIC} file")
+    if not lines or lines[0].strip() != _GENOME_MAGIC:
+        raise ValueError(f"{path}:1: first line must be {_GENOME_MAGIC!r}")
+    if len(lines) < 3:
+        missing = "bit" if len(lines) == 1 else "ctx"
+        raise ValueError(f"{path}:{len(lines) + 1}: missing the {missing} line")
     bit_text = lines[1].strip()
     if len(bit_text) != GENOME_LENGTH or set(bit_text) - {"0", "1"}:
         raise ValueError(f"{path}:2: bit line must be {GENOME_LENGTH} 0/1 characters")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -81,12 +81,6 @@ class LabeledSpace:
     def has_costs(self) -> bool:
         return self.costs is not None
 
-    def entries(self) -> Iterator[tuple[tuple[int, ...], bool, Optional[int]]]:
-        """Yield (assignment, label, cost) triples; cost is None when unset."""
-        for i in range(len(self)):
-            cost = int(self.costs[i]) if self.costs is not None else None
-            yield tuple(int(v) for v in self.assignments[i]), bool(self.labels[i]), cost
-
     def with_costs(self, costs: np.ndarray) -> "LabeledSpace":
         costs = np.asarray(costs, dtype=np.int64)
         return LabeledSpace(self.constraint, self.assignments, self.labels, costs, self.complete)
@@ -112,26 +106,6 @@ def enumerate_complete(
     xs = np.column_stack(cols).astype(np.int64)
     labels = concept_holds_batch(c, xs)
     return LabeledSpace(c, xs, labels, None, complete=True)
-
-
-def _lhs_batch(c: ConstraintInstance, b: int, rng: np.random.Generator) -> np.ndarray:
-    """One Latin hypercube batch of b < d assignments (full batches of d
-    come from _full_batch_block).
-
-    The domain is split per variable into b near-equal strata; every
-    stratum is used exactly once per variable, in an independent random
-    order per variable.
-    """
-    d, n = c.d, c.n
-    bounds = [(i * d) // b for i in range(b + 1)]
-    out = np.empty((b, n), dtype=np.int64)
-    for j in range(n):
-        strata = rng.permutation(b)
-        for row, s in enumerate(strata):
-            lo_s = c.lo + bounds[s]
-            hi_s = c.lo + bounds[s + 1] - 1
-            out[row, j] = rng.integers(lo_s, hi_s + 1)
-    return out
 
 
 def _block_batches(c: ConstraintInstance) -> int:
@@ -164,23 +138,6 @@ def _full_batch_block(c: ConstraintInstance, count: int, rng: np.random.Generato
         order = keys.view(np.int64)
     order += c.lo
     return order.reshape(count * d, n)
-
-
-def lhs_sample(c: ConstraintInstance, count: int, rng_seed: int) -> np.ndarray:
-    """count assignments drawn in LHS batches of size d (last batch smaller)."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(rng_seed)
-    full, rest = divmod(count, c.d)
-    parts = []
-    done = 0
-    while done < full:
-        block = min(_block_batches(c), full - done)
-        parts.append(_full_batch_block(c, block, rng))
-        done += block
-    if rest:
-        parts.append(_lhs_batch(c, rest, rng))
-    return np.concatenate(parts, axis=0) if len(parts) > 1 else parts[0]
 
 
 def _draw_classes(

@@ -186,6 +186,33 @@ def test_learn_finds_alldiff_reference():
     assert icn.describe_genome(res.best_genome) == "Count>0( count_eq_right )"
 
 
+@pytest.mark.parametrize(
+    "kind, hi, p, optima",
+    [(ConstraintKind.ALL_DIFFERENT, 5, 0, 12), (ConstraintKind.MINIMUM, 6, 3, 6)],
+    ids=["alldiff", "minimum"],
+)
+def test_one_transformation_genomes_reach_zero_deviation(kind, hi, p, optima):
+    # The training spaces of acceptance criteria 3 and 4, scored for every
+    # genome that selects one transformation (18 * 2 * 2 * 9 = 648).
+    evaluator = icn.SpaceEvaluator(small_space(kind, n=4, lo=1, hi=hi, p=p))
+    genomes = [
+        icn.genome_from_names([t], a, g, c)
+        for t in icn.TRANSFORMATION_NAMES
+        for a in icn.ARITHMETIC_NAMES
+        for g in icn.AGGREGATION_NAMES
+        for c in icn.COMPARISON_NAMES
+    ]
+    deviations = {genome: evaluator.deviation(genome) for genome in genomes}
+    assert len(deviations) == 648
+    assert min(deviations.values()) == 0
+    zero = [genome for genome, dev in deviations.items() if dev == 0]
+    assert len(zero) == optima
+    if kind is ConstraintKind.ALL_DIFFERENT:
+        # Each sets four bits, so their losses tie; among equal losses the
+        # GA keeps the greatest genome int.
+        assert max(zero, key=lambda genome: genome.value) == alldifferent_reference_genome()
+
+
 def test_learn_many_matches_single_runs():
     space = small_space()
     cfg = GaConfig(**FAST)

@@ -75,7 +75,7 @@ def test_exact_matches_reference_closed_forms_exhaustively():
     for c in instances:
         space = enumerate_complete(c)
         sols = exhaustive_solution_set(c)
-        for x, label, _ in space.entries():
+        for x, label in zip(space.assignments.tolist(), space.labels):
             exact = exact_hamming(list(x), sols)
             assert exact == hamming_reference(c, list(x))
             assert (exact == 0) == label
@@ -86,7 +86,7 @@ def test_label_space_costs_complete():
     labeled = label_space_costs(space, exhaustive_solution_set(ALLDIFF3))
     assert labeled.has_costs
     assert set(int(v) for v in labeled.costs) == {0, 1, 2}
-    for x, label, cost in labeled.entries():
+    for label, cost in zip(labeled.labels, labeled.costs):
         assert (cost == 0) == label
 
 
@@ -96,7 +96,7 @@ def test_label_space_costs_incomplete_uses_sampled_solutions():
     sols = solution_set_from_space(space)
     assert not sols.exhaustive
     labeled = label_space_costs(space, sols)
-    for x, label, cost in labeled.entries():
+    for x, label, cost in zip(labeled.assignments.tolist(), labeled.labels, labeled.costs):
         if label:
             assert cost == 0
         else:

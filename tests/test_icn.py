@@ -11,7 +11,6 @@ from efkit.concepts import ConstraintInstance, ConstraintKind
 from efkit.hamming import exhaustive_solution_set, label_space_costs
 from efkit.icn import (
     EvalContext,
-    EvalDiagnostics,
     ErrorFunction,
     Genome,
     SpaceEvaluator,
@@ -23,13 +22,12 @@ from efkit.icn import (
     load_genome,
     loss,
     normalized_mean_error,
-    parse_describe,
     regularization,
     repair,
     save_genome,
     validate,
 )
-from efkit.spaces import LabeledSpace, enumerate_complete, lhs_sample, load_space
+from efkit.spaces import LabeledSpace, enumerate_complete, load_space
 
 from oracles import genome_bits, straight_line_eval
 
@@ -130,15 +128,6 @@ def test_describe_reference_forms():
     assert describe_genome(two) == "AbsDiff_n( Sum( identity * eq_p ) )"
     added = genome_from_names(["count_eq_right", "lt_p"], "add", "Count>0", "identity")
     assert describe_genome(added) == "Count>0( count_eq_right + lt_p )"
-
-
-def test_parse_describe_rejects_noise():
-    with pytest.raises(ValueError):
-        parse_describe("Sum( not_an_op )")
-    with pytest.raises(ValueError):
-        parse_describe("count_eq_right")
-    with pytest.raises(ValueError):
-        parse_describe("Sum( identity * eq_p + lt_p )")
 
 
 def test_regularization_values():
@@ -267,9 +256,8 @@ def test_saturation_flagged_and_capped():
     )
     f = ErrorFunction(heavy, ctx)
     X = np.full((4, 50), 100, dtype=np.int64)
-    diag = EvalDiagnostics()
-    out = f.evaluate_batch(X, diagnostics=diag)
-    assert diag.saturated
+    out = f.evaluate_batch(X)
+    assert (out == icn.SATURATION_CEILING).all()  # 50 * 100 * 49 * 100 * 100 > 2^31 - 1
     assert (out <= icn.SATURATION_CEILING).all()
     assert (out >= 0).all()
 
@@ -295,15 +283,18 @@ def test_genome_file_round_trip(tmp_path):
 
 def test_genome_file_rejects_malformed(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("something else\n")
-    with pytest.raises(ValueError):
-        load_genome(path)
-    path.write_text("icn-genome v1\n0101\nctx n=4 d=5 p=0 lo=1\n")
-    with pytest.raises(ValueError):
-        load_genome(path)
-    path.write_text(f"icn-genome v1\n{'0' * 31}\nn=4 d=5\n")
-    with pytest.raises(ValueError):
-        load_genome(path)
+    for text, line, message in [
+        ("something else\n", 1, "first line must be 'icn-genome v1'"),
+        ("", 1, "first line must be 'icn-genome v1'"),
+        ("icn-genome v1\n", 2, "missing the bit line"),
+        (f"icn-genome v1\n{GOOD_BITS}\n", 3, "missing the ctx line"),
+        ("icn-genome v1\n0101\nctx n=4 d=5 p=0 lo=1\n", 2, "bit line must be 31 0/1 characters"),
+        (f"icn-genome v1\n{'0' * 31}\nn=4 d=5\n", 2, "breaks the layer rules"),
+        (f"icn-genome v1\n{GOOD_BITS}\nn=4 d=5\n", 3, "ctx line must start with `ctx `"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{line}: ')}.*{re.escape(message)}"):
+            load_genome(path)
 
 
 GOOD_BITS = "0100000000000000001001100000000"  # Count>0( count_eq_right )
@@ -484,19 +475,6 @@ def test_space_evaluator_deviation_matches_network_outputs(case):
         outputs = icn.network_outputs(genome, ctx, space.assignments)
         assert evaluator.deviation(genome) == int(np.abs(outputs - space.costs).sum())
         assert evaluator.loss(genome) == loss(genome, space)
-
-
-@settings(PROPERTY, max_examples=200)
-@given(genome=valid_genomes)
-def test_describe_parse_round_trip_canonical(genome):
-    text = describe_genome(genome)
-    parsed = parse_describe(text)
-    # String-level round trip always holds; the genome itself round-trips
-    # whenever the arithmetic choice is observable (at least two
-    # transformations selected) or already the canonical `add`.
-    assert describe_genome(parsed) == text
-    if len(genome.layers.transformations) > 1 or genome.layers.arithmetic == 0:
-        assert parsed == genome
 
 
 @settings(PROPERTY, max_examples=100)

@@ -247,9 +247,9 @@ def test_feedforward_makes_one_network_call_per_move(monkeypatch):
     calls = []
     original = ErrorFunction.evaluate_batch
 
-    def counting(self, X, diagnostics=None):
+    def counting(self, X):
         calls.append(len(X))
-        return original(self, X, diagnostics)
+        return original(self, X)
 
     monkeypatch.setattr(ErrorFunction, "evaluate_batch", counting)
     out = solve(build_sudoku(3, "icn_feedforward"), timeout_ms=20000, rng_seed=29)

@@ -12,7 +12,6 @@ from efkit.spaces import (
     EnumerationCapError,
     SamplingExhaustedError,
     enumerate_complete,
-    lhs_sample,
     load_space,
     sample_balanced,
     sample_balanced_direct,
@@ -41,11 +40,10 @@ def test_enumerate_complete_counts():
 def test_enumerate_lexicographic_and_labeled():
     c = ConstraintInstance(ConstraintKind.ORDERED, 2, 1, 2)
     space = enumerate_complete(c)
-    rows = [entry[0] for entry in space.entries()]
-    assert rows == [(1, 1), (1, 2), (2, 1), (2, 2)]
-    for x, label, cost in space.entries():
+    assert space.assignments.tolist() == [[1, 1], [1, 2], [2, 1], [2, 2]]
+    for x, label in zip(space.assignments, space.labels):
         assert label == concept_holds(c, x)
-        assert cost is None
+    assert space.costs is None
 
 
 def test_enumerate_covers_every_assignment_once():
@@ -63,7 +61,7 @@ def test_enumeration_cap():
 
 def test_lhs_single_batch_is_a_latin_square_column():
     c = ConstraintInstance(ConstraintKind.ORDERED, 2, 1, 4)
-    xs = lhs_sample(c, 4, rng_seed=5)
+    xs = spaces._full_batch_block(c, 1, np.random.default_rng(5))
     assert xs.shape == (4, 2)
     for j in range(2):
         assert sorted(xs[:, j]) == [1, 2, 3, 4]
@@ -71,39 +69,19 @@ def test_lhs_single_batch_is_a_latin_square_column():
 
 def test_lhs_two_batches_hit_each_value_twice():
     c = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 100, 1, 100)
-    xs = lhs_sample(c, 200, rng_seed=9)
+    xs = spaces._full_batch_block(c, 2, np.random.default_rng(9))
     assert xs.shape == (200, 100)
     for j in range(0, 100, 17):
         counts = np.bincount(xs[:, j], minlength=101)[1:]
         assert (counts == 2).all()
 
 
-def test_lhs_count_one_is_uniformish_draw():
-    c = ConstraintInstance(ConstraintKind.ORDERED, 3, 1, 6)
-    xs = lhs_sample(c, 1, rng_seed=0)
-    assert xs.shape == (1, 3)
-    assert ((xs >= 1) & (xs <= 6)).all()
-
-
-def test_lhs_partial_batch_uses_distinct_strata():
-    # 3 strata over 5 values: bounds at indices 0,1,3,5.
-    c = ConstraintInstance(ConstraintKind.ORDERED, 4, 10, 14)
-    xs = lhs_sample(c, 3, rng_seed=11)
-    bounds = [10, 11, 13, 15]
-    for j in range(4):
-        strata = set()
-        for v in xs[:, j]:
-            s = next(i for i in range(3) if bounds[i] <= v < bounds[i + 1])
-            strata.add(s)
-        assert len(strata) == 3
-
-
 def test_lhs_reproducible():
     c = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 5, 1, 7)
-    a = lhs_sample(c, 23, rng_seed=1234)
-    b = lhs_sample(c, 23, rng_seed=1234)
+    a = sample_balanced(c, 23, rng_seed=1234).assignments
+    b = sample_balanced(c, 23, rng_seed=1234).assignments
     assert (a == b).all()
-    assert not (a == lhs_sample(c, 23, rng_seed=1235)).all()
+    assert not (a == sample_balanced(c, 23, rng_seed=1235).assignments).all()
 
 
 def test_sample_balanced_quotas_and_labels():
@@ -112,9 +90,9 @@ def test_sample_balanced_quotas_and_labels():
     assert len(space) == 100
     assert space.solution_count == 50
     assert not space.complete
-    for x, label, cost in space.entries():
+    for x, label in zip(space.assignments, space.labels):
         assert label == concept_holds(c, x)
-        assert cost is None
+    assert space.costs is None
 
 
 def test_sample_balanced_deterministic():
@@ -158,7 +136,7 @@ def test_sample_balanced_direct_balances_and_falls_back():
     c = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 20, 1, 20)
     space = sample_balanced_direct(c, 40, rng_seed=5)
     assert len(space) == 80 and space.solution_count == 40
-    for x, label, _ in space.entries():
+    for x, label in zip(space.assignments, space.labels):
         assert label == concept_holds(c, x)
 
     # no direct sampler: the solution class comes from rejection
@@ -217,9 +195,7 @@ def test_block_size_does_not_change_samples(monkeypatch):
             sample_balanced_direct(c, 40, rng_seed=2),
             sample_balanced_direct(linear, 30, rng_seed=4),  # rejection for solutions
         ]
-        return [lhs_sample(c, 103, rng_seed=5)] + [
-            part for sp in built for part in (sp.assignments, sp.labels)
-        ]
+        return [part for sp in built for part in (sp.assignments, sp.labels)]
 
     default = draws()
     monkeypatch.setattr(spaces, "_BLOCK_CELLS", 1)  # one batch per block
@@ -342,14 +318,13 @@ def test_sampled_space_golden_files(tmp_path):
     assert {name: tuple(d) for name, d in got.items()} == GOLDEN_SPACES
 
 
-# sha256 prefixes at seeds 0 and 1 of the seeded streams on either side of
-# the LHS block's 64-bit key cut-off (d = 2048 packs draw and row into one
-# key, d = 2049 does not) and of a balanced AllDifferent space whose value
-# span (100) is too wide for the one-mask label, computed before the blocks
-# were drawn with packed keys.
+# sha256 prefixes at seeds 0 and 1 of two full LHS batches on either side of
+# the block's 64-bit key cut-off (d = 2048 packs draw and row into one key,
+# d = 2049 does not) and of a balanced AllDifferent space whose value span
+# (100) is too wide for the one-mask label. The span-100 digests date from
+# before the blocks were drawn with packed keys; the block digests were
+# checked to be the head of the streams pinned then.
 GOLDEN_CUTOFFS = {
-    "lhs-d2048": ("fd1addb5104a8809", "2b55f61f02028353"),
-    "lhs-d2049": ("8aa8223f55f548af", "c74132a3bc1a3ac7"),
     "blocks-d2048": ("7c6c9b14f7e6a2e0", "d399d5fe9a949245"),
     "blocks-d2049": ("06b81f644a7e8012", "6d1aa69e0bbae28b"),
     "balanced-alldiff-span100": ("d583d8a69b53c52e", "cb2faf6a964b97d8"),
@@ -365,10 +340,7 @@ def test_sampled_streams_golden_past_the_cutoffs(tmp_path):
     for seed in (0, 1):
         for hi in (2040, 2041):
             c = ConstraintInstance(ConstraintKind.ORDERED, 3, -7, hi)
-            xs = lhs_sample(c, 2 * c.d + 5, rng_seed=seed)  # two full batches and a partial one
-            got[f"lhs-d{c.d}"].append(digest(np.ascontiguousarray(xs, dtype="<i8").tobytes()))
             blocks = spaces._full_batch_block(c, 2, np.random.default_rng(seed))
-            assert np.array_equal(blocks, xs[: 2 * c.d])  # the same stream as the lhs-d pins
             got[f"blocks-d{c.d}"].append(digest(np.ascontiguousarray(blocks, dtype="<i8").tobytes()))
         path = tmp_path / "space.txt"
         save_space(sample_balanced(wide, 30, rng_seed=seed), path)

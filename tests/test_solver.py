@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -232,13 +235,37 @@ GOLDEN_TRAJECTORIES = {
 }
 
 
+# For the same solves: a digest of the final grid, and the next 64 bits the
+# solver's random.Random would have drawn, so that the grid and every rng
+# call along the way are pinned too.
+GOLDEN_FINAL_STATES = {
+    "handcrafted": [("e4502f3d4e1ca06a", "6c4fb9e5137e748a"), ("260b8fdd312704c7", "0767cb49ac7c58ef")],
+    "icn_hardcoded": [("3c26b732576592fc", "e8b2daab9fc37d1c"), ("2c44648bac9281db", "5e93d8c02fa9f7a8")],
+    "icn_feedforward": [("3c26b732576592fc", "e8b2daab9fc37d1c"), ("2c44648bac9281db", "5e93d8c02fa9f7a8")],
+}
+
+
+def grid_digest(assignment) -> str:
+    return hashlib.sha256(",".join(map(str, assignment)).encode()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("variant", sorted(GOLDEN_TRAJECTORIES))
-def test_golden_trajectories(variant):
-    got = []
+def test_golden_trajectories(variant, monkeypatch):
+    rngs = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            rngs.append(self)
+
+    monkeypatch.setattr(random, "Random", Recorded)
+    got, final = [], []
     for seed in derive_seeds(42, 2):
         out = solve(build_sudoku(3, variant), timeout_ms=60000, rng_seed=seed)
         got.append((out.status, out.iterations, out.restarts))
+        final.append((grid_digest(out.assignment), format(rngs[-1].getrandbits(64), "016x")))
     assert got == GOLDEN_TRAJECTORIES[variant]
+    assert final == GOLDEN_FINAL_STATES[variant]
 
 
 def test_feedforward_makes_one_network_call_per_move(monkeypatch):

@@ -215,9 +215,12 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["variant", "k", "run", "seed", "status", "ms", "iterations", "restarts"])
-        for run, seed, status, ms, iterations, restarts in stats.rows:
-            writer.writerow([args.variant, args.k, run, seed, status, f"{ms:.3f}", iterations, restarts])
+        writer.writerow([
+            "variant", "k", "run", "seed", "status", "ms", "iterations", "restarts",
+            "unfaithful_restarts",
+        ])
+        for run, seed, status, ms, *counts in stats.rows:
+            writer.writerow([args.variant, args.k, run, seed, status, f"{ms:.3f}", *counts])
     util.write_manifest(
         out.with_name(out.name + ".manifest.json"),
         command="solve",

@@ -79,19 +79,33 @@ class Constraint:
     intended to hold; for a predicate-only constraint it is the 0/1
     violation indicator. error is required. error_batch maps a (rows,
     len(scope)) int64 candidate matrix to one error per row; left out, it
-    applies error row by row. The solver calls only error_batch.
+    applies error row by row.
+
+    count_terms, when set, declares that the error is a sum over values of
+    a term depending only on how many scope variables hold the value:
+    error(x) == sum(count_terms[x.count(v)] for v in set(x)). It has
+    len(scope) + 1 entries and count_terms[0] == 0. The solver then scores
+    a move from value counts; otherwise it calls error_batch.
     """
 
     scope: tuple[int, ...]
     error: Callable[[Sequence[int]], int]
     predicate: Callable[[Sequence[int]], bool]
     error_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    count_terms: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         if len(set(self.scope)) != len(self.scope):
             raise ValueError(f"scope {tuple(self.scope)} names a variable more than once")
         if self.error is None:
             raise ValueError(f"constraint on scope {tuple(self.scope)} has no error function")
+        if self.count_terms is not None and (
+            len(self.count_terms) != len(self.scope) + 1 or self.count_terms[0] != 0
+        ):
+            raise ValueError(
+                f"constraint on scope {tuple(self.scope)}: count_terms needs "
+                f"{len(self.scope) + 1} entries, the first 0"
+            )
         if self.error_batch is None:
             error = self.error
             self.error_batch = lambda X: np.array([error(r) for r in X.tolist()], dtype=np.int64)
@@ -119,6 +133,7 @@ class SolveOutcome:
     elapsed_ms: float
     iterations: int
     restarts: int
+    unfaithful_restarts: int  # restarts at total error 0 with a false predicate
 
 
 def build_sudoku(
@@ -147,10 +162,14 @@ def build_sudoku(
             )
     domains = [(1, n)] * (n * n)
 
+    # The two count-based errors also declare their term per value count:
+    # a value held c times adds c(c-1)/2 equal pairs, or c-1 duplicates.
+    count_terms = None
     if variant == "predicate":
         error, error_batch = _has_duplicate, _has_duplicate_batch
     elif variant == "handcrafted":
         error, error_batch = alldiff_primal_violation, alldiff_primal_violation_batch
+        count_terms = tuple(c * (c - 1) // 2 for c in range(n + 1))
     else:
         reference = icn.alldifferent_reference_genome()
         if genome is None:
@@ -162,11 +181,18 @@ def build_sudoku(
             )
         if variant == "icn_hardcoded":
             error, error_batch = _duplicate_positions, _duplicate_positions_batch
+            count_terms = tuple(max(c - 1, 0) for c in range(n + 1))
         else:
             ef = ErrorFunction(genome, EvalContext(n=n, d=n, p=0, lo=1))
             error, error_batch = ef.evaluate, ef.evaluate_batch
     cons = [
-        Constraint(scope=s, error=error, predicate=_all_distinct, error_batch=error_batch)
+        Constraint(
+            scope=s,
+            error=error,
+            predicate=_all_distinct,
+            error_batch=error_batch,
+            count_terms=count_terms,
+        )
         for s in scopes
     ]
     return Model(domains, cons)
@@ -181,101 +207,146 @@ def solve(model: Model, timeout_ms: int, rng_seed: int) -> SolveOutcome:
     plateau_budget = PLATEAU_MOVES_PER_VARIABLE * nvars
     rng = random.Random(rng_seed)
     constraints = model.constraints
-    ncons = len(constraints)
     domains = model.domains
-    scopes = [np.array(con.scope, dtype=np.intp) for con in constraints]
-    # incidence[v, ci] is 1 when constraint ci has variable v in its scope,
-    # so a variable's penalty is incidence @ errors.
-    incidence = np.zeros((nvars, ncons), dtype=np.int64)
-    for ci, scope in enumerate(scopes):
-        incidence[scope, ci] = 1
-    # Each variable's scoring plan: its constraints grouped by evaluator and
-    # scope width, so that a move makes one stacked error_batch call per
-    # group (network overhead is per call, not per row).
-    plans = []
-    for row in incidence:
+    # A variable with a one-value domain cannot move: its penalty stays -1,
+    # below every other, so the penalty scan never picks it.
+    movable = [v for v, (lo, hi) in enumerate(domains) if lo != hi]
+    is_movable = [lo != hi for lo, hi in domains]
+    watched = [[v for v in con.scope if is_movable[v]] for con in constraints]
+    cons_of: list[list[int]] = [[] for _ in range(nvars)]
+    for ci, con in enumerate(constraints):
+        for v in con.scope:
+            cons_of[v].append(ci)
+    # A constraint with count_terms is scored from its value counts, which
+    # counts[ci][value - offsets[ci]] holds; steps[ci][c] is the error change
+    # when a value held c times gains one more holder.
+    counted = [ci for ci, con in enumerate(constraints) if con.count_terms is not None]
+    offsets, steps = {}, {}
+    for ci in counted:
+        terms = constraints[ci].count_terms
+        offsets[ci] = min(domains[v][0] for v in constraints[ci].scope)
+        steps[ci] = [terms[c + 1] - terms[c] for c in range(len(terms) - 1)]
+    # The other constraints of a variable are grouped by evaluator and scope
+    # width, so that a move makes one stacked error_batch call per group
+    # (network overhead is per call, not per row).
+    count_plans, batch_plans = [], []
+    for v in range(nvars):
+        count_plans.append([ci for ci in cons_of[v] if ci in steps])
         groups: dict[tuple, list[int]] = {}
-        for ci in np.flatnonzero(row).tolist():
-            groups.setdefault((constraints[ci].error_batch, len(scopes[ci])), []).append(ci)
-        plans.append([
-            (error_batch, np.array(members), np.stack([scopes[ci] for ci in members]))
-            for (error_batch, _), members in groups.items()
-        ])
+        for ci in cons_of[v]:
+            if ci not in steps:
+                con = constraints[ci]
+                groups.setdefault((con.error_batch, len(con.scope)), []).append(ci)
+        plan = []
+        for (error_batch, _), members in groups.items():
+            member_scopes = np.array([constraints[ci].scope for ci in members], dtype=np.intp)
+            plan.append((error_batch, members, member_scopes, member_scopes == v))
+        batch_plans.append(plan)
 
     start = time.perf_counter()
     deadline = start + timeout_ms / 1000.0
     iterations = 0
     restarts = 0
-    errors = np.zeros(ncons, dtype=np.int64)
-    # A variable with a one-value domain cannot move: it stays tabu for good.
-    fixed = np.array([lo == hi for lo, hi in domains], dtype=bool)
-    movable = np.flatnonzero(~fixed)
-    tabu_until = np.zeros(nvars, dtype=np.int64)
+    unfaithful_restarts = 0
 
     def finish(status, assignment):
         elapsed = (time.perf_counter() - start) * 1000.0
-        return SolveOutcome(status, assignment, elapsed, iterations, restarts)
+        return SolveOutcome(status, assignment, elapsed, iterations, restarts, unfaithful_restarts)
 
     while True:
-        assignment = np.array([rng.randint(lo, hi) for lo, hi in domains], dtype=np.int64)
-        for ci, con in enumerate(constraints):
-            errors[ci] = con.error_batch(assignment[scopes[ci]][None])[0]
-        total = int(errors.sum())
-        tabu_until[:] = 0
-        tabu_until[fixed] = np.iinfo(np.int64).max
+        assignment = [rng.randint(lo, hi) for lo, hi in domains]
+        errors = []
+        for con in constraints:
+            row = np.array([[assignment[v] for v in con.scope]], dtype=np.int64)
+            errors.append(con.error_batch(row).tolist()[0])
+        penalties = [
+            sum(errors[ci] for ci in cons_of[v]) if is_movable[v] else -1 for v in range(nvars)
+        ]
+        counts = {}
+        for ci in counted:
+            scope, offset = constraints[ci].scope, offsets[ci]
+            counts[ci] = table = [0] * (max(domains[v][1] for v in scope) - offset + 1)
+            for v in scope:
+                table[assignment[v] - offset] += 1
+        total = sum(errors)
+        tabu: list[int] = []  # the variables moved in the last TABU_TENURE iterations
         best_total = total
         since_improvement = 0
 
         while True:
             if total == 0:
-                solution = assignment.tolist()
-                if model.satisfied(solution):
-                    return finish("solved", solution)
+                if model.satisfied(assignment):
+                    return finish("solved", assignment)
+                unfaithful_restarts += 1
                 break  # unfaithful guidance: restart rather than loop forever
             if time.perf_counter() > deadline:
                 return finish("timeout", None)
             iterations += 1
 
-            penalties = incidence @ errors
-            blocked = tabu_until >= iterations
-            penalties[blocked] = -1
-            worst = penalties.max()
-            if worst > 0:
-                candidates = np.flatnonzero(penalties == worst)
+            # The most penalized free variables, in ascending order; if
+            # every free variable scores 0, any of them.
+            scan = penalties
+            if tabu:
+                scan = penalties.copy()
+                for v in tabu:
+                    scan[v] = -1
+            worst = max(scan, default=-1)
+            if worst >= 0:
+                candidates = []
+                v = -1
+                for _ in range(scan.count(worst)):
+                    v = scan.index(worst, v + 1)
+                    candidates.append(v)
+            elif movable:
+                candidates = movable  # everything is tabu; pick any movable variable
             else:
-                # Everything informative is tabu; pick any free variable.
-                candidates = np.flatnonzero(~blocked)
-                if len(candidates) == 0:
-                    if len(movable) == 0:
-                        return finish("timeout", None)
-                    candidates = movable
-            var = int(candidates[0]) if len(candidates) == 1 else int(rng.choice(candidates))
+                return finish("timeout", None)
+            var = candidates[0] if len(candidates) == 1 else rng.choice(candidates)
 
             # A move always changes the variable; allowing it to stay put
             # lets non-improving no-ops rotate through the tabu list forever.
             lo, hi = domains[var]
-            values = np.arange(lo, hi, dtype=np.int64)
-            values[values >= assignment[var]] += 1
-            # out[row, slot]: error of the group's slot-th constraint with the
-            # variable set to values[row].
-            outs = []
-            cand_totals = np.zeros(len(values), dtype=np.int64)
-            for error_batch, members, member_scopes in plans[var]:
-                rows = np.where(
-                    member_scopes == var, values[:, None, None], assignment[member_scopes]
-                )
-                out = error_batch(rows.reshape(-1, rows.shape[2]))
-                out = out.reshape(len(values), len(members))
-                outs.append((members, out))
-                cand_totals += out.sum(axis=1)
-            choices = np.flatnonzero(cand_totals == cand_totals.min())
-            pick = int(choices[0]) if len(choices) == 1 else int(rng.choice(choices))
+            old = assignment[var]
+            values = [b for b in range(lo, hi + 1) if b != old]
+            # new_errors[slot][row]: error of the slot-th constraint on var
+            # with var set to values[row].
+            scored, new_errors = [], []
+            for ci in count_plans[var]:
+                step, table, offset = steps[ci], counts[ci], offsets[ci]
+                base = errors[ci] - step[table[old - offset] - 1]
+                scored.append(ci)
+                new_errors.append([base + step[table[b - offset]] for b in values])
+            if batch_plans[var]:
+                current = np.array(assignment, dtype=np.int64)
+                value_column = np.array(values, dtype=np.int64)[:, None, None]
+                for error_batch, members, member_scopes, at_var in batch_plans[var]:
+                    rows = np.where(at_var, value_column, current[member_scopes])
+                    out = error_batch(rows.reshape(-1, rows.shape[2]))
+                    scored.extend(members)
+                    new_errors.extend(out.reshape(len(values), len(members)).T.tolist())
+            if new_errors:
+                cand_totals = [sum(column) for column in zip(*new_errors)]
+            else:
+                cand_totals = [0] * len(values)
+            least = min(cand_totals)
+            choices = [row for row, t in enumerate(cand_totals) if t == least]
+            pick = choices[0] if len(choices) == 1 else rng.choice(choices)
 
-            assignment[var] = values[pick]
-            for members, out in outs:
-                errors[members] = out[pick]
-            total = int(errors.sum())
-            tabu_until[var] = iterations + TABU_TENURE
+            new = values[pick]
+            assignment[var] = new
+            for ci in count_plans[var]:
+                counts[ci][old - offsets[ci]] -= 1
+                counts[ci][new - offsets[ci]] += 1
+            for ci, errs in zip(scored, new_errors):
+                delta = errs[pick] - errors[ci]
+                if delta:
+                    errors[ci] += delta
+                    total += delta
+                    for v in watched[ci]:
+                        penalties[v] += delta
+            tabu.append(var)
+            if len(tabu) > TABU_TENURE:
+                del tabu[0]
 
             if total < best_total:
                 best_total = total
@@ -299,14 +370,16 @@ class BenchmarkStats:
     mean_ms: Optional[float]
     median_ms: Optional[float]
     stdev_ms: Optional[float]
-    rows: list[tuple] = field(default_factory=list)  # (run, seed, status, ms, iters, restarts)
+    # (run, seed, status, ms, iterations, restarts, unfaithful_restarts)
+    rows: list[tuple] = field(default_factory=list)
 
 
 def _run_one(args) -> tuple:
     k, variant, genome, timeout_ms, run, seed = args
     model = build_sudoku(k, variant, genome=genome)
     outcome = solve(model, timeout_ms, seed)
-    return (run, seed, outcome.status, outcome.elapsed_ms, outcome.iterations, outcome.restarts)
+    return (run, seed, outcome.status, outcome.elapsed_ms, outcome.iterations, outcome.restarts,
+            outcome.unfaithful_restarts)
 
 
 def benchmark_sudoku(

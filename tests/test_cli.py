@@ -242,9 +242,10 @@ def test_solve_writes_csv(tmp_path, capsys):
         "--timeout", "10000", "--seed", "9", "--out", str(out),
     ) == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "variant,k,run,seed,status,ms,iterations,restarts"
+    assert lines[0] == "variant,k,run,seed,status,ms,iterations,restarts,unfaithful_restarts"
     assert len(lines) == 4
     assert all(line.startswith("icn_hardcoded,3,") for line in lines[1:])
+    assert all(line.endswith(",0") for line in lines[1:])  # no unfaithful restart
     assert "timeouts=0/3" in capsys.readouterr().out
 
 

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efkit import icn
 from efkit.icn import EvalContext, ErrorFunction, genome_from_names
@@ -290,3 +292,86 @@ def test_constraint_rejects_a_repeated_variable():
     # scan and in its variable's scoring plan.
     with pytest.raises(ValueError, match="names a variable more than once"):
         Constraint(scope=(0, 1, 0), error=alldiff_primal_violation, predicate=lambda vals: True)
+
+
+def test_unfaithful_guidance_restarts_are_counted_by_cause():
+    # Total error 0 with a false predicate: every start is an unfaithful
+    # restart, and no move is ever made.
+    cons = [Constraint(scope=(0, 1), error=lambda v: 0, predicate=lambda v: False)]
+    out = solve(Model([(1, 3), (1, 3)], cons), timeout_ms=50, rng_seed=0)
+    assert out.status == "timeout" and out.iterations == 0
+    assert out.unfaithful_restarts == out.restarts >= 1
+
+
+def test_plateau_restarts_are_not_unfaithful():
+    out = solve(build_sudoku(3, "handcrafted"), timeout_ms=60000, rng_seed=derive_seeds(42, 2)[1])
+    assert out.restarts == 18 and out.unfaithful_restarts == 0
+
+
+@pytest.mark.parametrize("variant", ["handcrafted", "icn_hardcoded"])
+def test_sudoku_count_terms_sum_to_the_error(variant):
+    con = build_sudoku(3, variant).constraints[0]
+    rng = np.random.default_rng(5)
+    X = np.concatenate([rng.integers(1, 10, size=(300, 9)), np.full((1, 9), 3), [np.arange(1, 10)]])
+    by_counts = [sum(con.count_terms[row.count(v)] for v in set(row)) for row in X.tolist()]
+    assert by_counts == [con.error(row) for row in X.tolist()] == con.error_batch(X).tolist()
+
+
+def test_count_terms_must_fit_the_scope():
+    for terms in [(0, 0, 1), (1, 0, 1, 3), (0, 0, 1, 3, 6)]:
+        with pytest.raises(ValueError, match="count_terms needs 4 entries, the first 0"):
+            Constraint(scope=(0, 1, 2), error=alldiff_primal_violation,
+                       predicate=lambda v: True, count_terms=terms)
+
+
+@st.composite
+def alldiff_models(draw):
+    """AllDifferent constraints on rows and columns of a planted Latin square
+    over [base, base + m), some cut to a prefix so that widths mix, with
+    domains around that range and some variables fixed to the planted value.
+    Each constraint either counts equal pairs or duplicate positions."""
+    m = draw(st.integers(3, 5))
+    base = draw(st.integers(-5, 5))
+    row_shift = draw(st.permutations(range(m)))
+    col_shift = draw(st.permutations(range(m)))
+    planted = [base + (row_shift[r] + col_shift[c]) % m for r in range(m) for c in range(m)]
+    domains = [
+        (x, x) if draw(st.integers(0, 5)) == 0
+        else (base - draw(st.integers(0, 1)), base + m - 1 + draw(st.integers(0, 1)))
+        for x in planted
+    ]
+    lines = [tuple(r * m + c for c in range(m)) for r in range(m)]
+    lines += [tuple(r * m + c for r in range(m)) for c in range(m)]
+    chosen = draw(st.lists(st.sampled_from(lines), min_size=1, max_size=2 * m, unique=True))
+    specs = [(line[:draw(st.integers(2, m))], draw(st.booleans())) for line in chosen]
+    return domains, specs
+
+
+def alldiff_model(domains, specs, with_counts):
+    cons = []
+    for scope, pair in specs:
+        w = len(scope)
+        if pair:
+            error, batch, terms = alldiff_primal_violation, alldiff_primal_violation_batch, \
+                tuple(c * (c - 1) // 2 for c in range(w + 1))
+        else:
+            error, batch, terms = _duplicate_positions, _duplicate_positions_batch, \
+                tuple(max(c - 1, 0) for c in range(w + 1))
+        cons.append(Constraint(scope=scope, error=error, predicate=lambda v: len(set(v)) == len(v),
+                               error_batch=batch, count_terms=terms if with_counts else None))
+    return Model(domains, cons)
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(alldiff_models(), st.integers(0, 2**32 - 1))
+def test_value_count_scoring_matches_batch_scoring(model, seed):
+    domains, specs = model
+    outcomes = [
+        solve(alldiff_model(domains, specs, with_counts), timeout_ms=20000, rng_seed=seed)
+        for with_counts in (True, False)
+    ]
+    for out in outcomes:
+        assert out.status == "solved"
+    counted, batched = outcomes
+    assert (counted.status, counted.iterations, counted.restarts, counted.assignment) == (
+        batched.status, batched.iterations, batched.restarts, batched.assignment)

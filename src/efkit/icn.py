@@ -500,7 +500,8 @@ def load_genome(path) -> ErrorFunction:
     other than the magic line, a missing bit or ctx line, a bit line that
     is not 31 0/1 characters or breaks the layer rules, and a ctx line with
     a token that is not key=value, an unknown or repeated key, an unknown
-    kind, a missing or non-integer n, d, p or lo, or n or d below 1."""
+    kind, a missing or non-integer n, d, p or lo, or n or d below 1, and a
+    later line that is neither blank nor a `#` comment."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != _GENOME_MAGIC:
         raise ValueError(f"{path}:1: first line must be {_GENOME_MAGIC!r}")
@@ -531,4 +532,9 @@ def load_genome(path) -> ErrorFunction:
             ) from None
     if numbers["n"] < 1 or numbers["d"] < 1:
         raise ValueError(f"{path}:3: ctx n and d must be at least 1")
+    for number, line in enumerate(lines[3:], start=4):
+        if line.strip() and not line.lstrip().startswith("#"):
+            raise ValueError(
+                f"{path}:{number}: expected a blank or `#` comment line after the ctx line"
+            )
     return ErrorFunction(genome, EvalContext(**numbers, kind=kind))

@@ -300,6 +300,20 @@ def test_genome_file_rejects_malformed(tmp_path):
 GOOD_BITS = "0100000000000000001001100000000"  # Count>0( count_eq_right )
 
 
+def test_genome_file_rejects_lines_after_ctx_that_are_not_comments(tmp_path):
+    path = tmp_path / "extra.genome.txt"
+    head = f"icn-genome v1\n{GOOD_BITS}\nctx n=4 d=5 p=0 lo=1\n"
+    for tail, line in [
+        (f"not a comment\n{'1' * 31}\nctx n=9 d=9 p=9 lo=9\n", 4),
+        (f"# Count>0( count_eq_right )\n\n{GOOD_BITS}\n", 6),
+    ]:
+        path.write_text(head + tail)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{line}: ')}expected a blank or `#` comment"):
+            load_genome(path)
+    path.write_text(head + "# Count>0( count_eq_right )\n\n  # a note\n")
+    assert load_genome(path).genome.value == int(GOOD_BITS, 2)
+
+
 @pytest.mark.parametrize(
     "bits, ctx_line, line, message",
     [

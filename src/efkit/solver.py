@@ -220,12 +220,12 @@ def solve(model: Model, timeout_ms: int, rng_seed: int) -> SolveOutcome:
     # A constraint with count_terms is scored from its value counts, which
     # counts[ci][value - offsets[ci]] holds; steps[ci][c] is the error change
     # when a value held c times gains one more holder.
-    counted = [ci for ci, con in enumerate(constraints) if con.count_terms is not None]
     offsets, steps = {}, {}
-    for ci in counted:
-        terms = constraints[ci].count_terms
-        offsets[ci] = min(domains[v][0] for v in constraints[ci].scope)
-        steps[ci] = [terms[c + 1] - terms[c] for c in range(len(terms) - 1)]
+    for ci, con in enumerate(constraints):
+        if con.count_terms is not None:
+            terms = con.count_terms
+            offsets[ci] = min(domains[v][0] for v in con.scope)
+            steps[ci] = [terms[c + 1] - terms[c] for c in range(len(terms) - 1)]
     # The other constraints of a variable are grouped by evaluator and scope
     # width, so that a move makes one stacked error_batch call per group
     # (network overhead is per call, not per row).
@@ -263,8 +263,8 @@ def solve(model: Model, timeout_ms: int, rng_seed: int) -> SolveOutcome:
             sum(errors[ci] for ci in cons_of[v]) if is_movable[v] else -1 for v in range(nvars)
         ]
         counts = {}
-        for ci in counted:
-            scope, offset = constraints[ci].scope, offsets[ci]
+        for ci, offset in offsets.items():
+            scope = constraints[ci].scope
             counts[ci] = table = [0] * (max(domains[v][1] for v in scope) - offset + 1)
             for v in scope:
                 table[assignment[v] - offset] += 1
@@ -317,7 +317,7 @@ def solve(model: Model, timeout_ms: int, rng_seed: int) -> SolveOutcome:
                 scored.append(ci)
                 new_errors.append([base + step[table[b - offset]] for b in values])
             if batch_plans[var]:
-                current = np.array(assignment, dtype=np.int64)
+                current = np.fromiter(assignment, dtype=np.int64, count=nvars)
                 value_column = np.array(values, dtype=np.int64)[:, None, None]
                 for error_batch, members, member_scopes, at_var in batch_plans[var]:
                     rows = np.where(at_var, value_column, current[member_scopes])

@@ -11,6 +11,7 @@ from efkit.icn import EvalContext, ErrorFunction, genome_from_names
 from efkit.solver import (
     Constraint,
     Model,
+    _all_distinct,
     _duplicate_positions,
     _duplicate_positions_batch,
     _has_duplicate,
@@ -329,7 +330,8 @@ def alldiff_models(draw):
     """AllDifferent constraints on rows and columns of a planted Latin square
     over [base, base + m), some cut to a prefix so that widths mix, with
     domains around that range and some variables fixed to the planted value.
-    Each constraint either counts equal pairs or duplicate positions."""
+    Each constraint either counts equal pairs or duplicate positions, and
+    is marked for value-count scoring in the mixed run or not."""
     m = draw(st.integers(3, 5))
     base = draw(st.integers(-5, 5))
     row_shift = draw(st.permutations(range(m)))
@@ -343,35 +345,35 @@ def alldiff_models(draw):
     lines = [tuple(r * m + c for c in range(m)) for r in range(m)]
     lines += [tuple(r * m + c for r in range(m)) for c in range(m)]
     chosen = draw(st.lists(st.sampled_from(lines), min_size=1, max_size=2 * m, unique=True))
-    specs = [(line[:draw(st.integers(2, m))], draw(st.booleans())) for line in chosen]
+    specs = [(line[:draw(st.integers(2, m))], draw(st.booleans()), draw(st.booleans()))
+             for line in chosen]
     return domains, specs
 
 
-def alldiff_model(domains, specs, with_counts):
+def alldiff_model(domains, specs, counted):
+    """The drawn model; constraint i declares its count_terms when counted(i)."""
     cons = []
-    for scope, pair in specs:
-        w = len(scope)
+    for i, (scope, pair, _) in enumerate(specs):
         if pair:
-            error, batch, terms = alldiff_primal_violation, alldiff_primal_violation_batch, \
-                tuple(c * (c - 1) // 2 for c in range(w + 1))
+            error, batch, term = alldiff_primal_violation, alldiff_primal_violation_batch, \
+                lambda c: c * (c - 1) // 2
         else:
-            error, batch, terms = _duplicate_positions, _duplicate_positions_batch, \
-                tuple(max(c - 1, 0) for c in range(w + 1))
-        cons.append(Constraint(scope=scope, error=error, predicate=lambda v: len(set(v)) == len(v),
-                               error_batch=batch, count_terms=terms if with_counts else None))
+            error, batch, term = _duplicate_positions, _duplicate_positions_batch, \
+                lambda c: max(c - 1, 0)
+        terms = tuple(term(c) for c in range(len(scope) + 1)) if counted(i) else None
+        cons.append(Constraint(scope=scope, error=error, predicate=_all_distinct,
+                               error_batch=batch, count_terms=terms))
     return Model(domains, cons)
 
 
 @settings(deadline=None, derandomize=True, max_examples=150)
 @given(alldiff_models(), st.integers(0, 2**32 - 1))
 def test_value_count_scoring_matches_batch_scoring(model, seed):
+    # Every constraint scored from value counts, none, and a mix of both.
     domains, specs = model
-    outcomes = [
-        solve(alldiff_model(domains, specs, with_counts), timeout_ms=20000, rng_seed=seed)
-        for with_counts in (True, False)
-    ]
-    for out in outcomes:
+    outcomes = []
+    for counted in (lambda i: True, lambda i: False, lambda i: specs[i][2]):
+        out = solve(alldiff_model(domains, specs, counted), timeout_ms=20000, rng_seed=seed)
         assert out.status == "solved"
-    counted, batched = outcomes
-    assert (counted.status, counted.iterations, counted.restarts, counted.assignment) == (
-        batched.status, batched.iterations, batched.restarts, batched.assignment)
+        outcomes.append((out.status, out.iterations, out.restarts, out.assignment))
+    assert outcomes[0] == outcomes[1] == outcomes[2]

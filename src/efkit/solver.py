@@ -210,8 +210,8 @@ def solve(model: Model, timeout_ms: int, rng_seed: int) -> SolveOutcome:
     domains = model.domains
     # A variable with a one-value domain cannot move: its penalty stays -1,
     # below every other, so the penalty scan never picks it.
-    movable = [v for v, (lo, hi) in enumerate(domains) if lo != hi]
     is_movable = [lo != hi for lo, hi in domains]
+    movable = [v for v in range(nvars) if is_movable[v]]
     watched = [[v for v in con.scope if is_movable[v]] for con in constraints]
     cons_of: list[list[int]] = [[] for _ in range(nvars)]
     for ci, con in enumerate(constraints):

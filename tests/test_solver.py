@@ -266,6 +266,7 @@ def test_golden_trajectories(variant, monkeypatch):
     for seed in derive_seeds(42, 2):
         out = solve(build_sudoku(3, variant), timeout_ms=60000, rng_seed=seed)
         got.append((out.status, out.iterations, out.restarts))
+        assert out.unfaithful_restarts == 0  # every restart follows a plateau
         final.append((grid_digest(out.assignment), format(rngs[-1].getrandbits(64), "016x")))
     assert got == GOLDEN_TRAJECTORIES[variant]
     assert final == GOLDEN_FINAL_STATES[variant]
@@ -302,11 +303,6 @@ def test_unfaithful_guidance_restarts_are_counted_by_cause():
     out = solve(Model([(1, 3), (1, 3)], cons), timeout_ms=50, rng_seed=0)
     assert out.status == "timeout" and out.iterations == 0
     assert out.unfaithful_restarts == out.restarts >= 1
-
-
-def test_plateau_restarts_are_not_unfaithful():
-    out = solve(build_sudoku(3, "handcrafted"), timeout_ms=60000, rng_seed=derive_seeds(42, 2)[1])
-    assert out.restarts == 18 and out.unfaithful_restarts == 0
 
 
 @pytest.mark.parametrize("variant", ["handcrafted", "icn_hardcoded"])
@@ -350,16 +346,18 @@ def alldiff_models(draw):
     return domains, specs
 
 
+# (error, error_batch, term per value count) of the two count-based errors.
+COUNT_ERRORS = [
+    (alldiff_primal_violation, alldiff_primal_violation_batch, lambda c: c * (c - 1) // 2),
+    (_duplicate_positions, _duplicate_positions_batch, lambda c: max(c - 1, 0)),
+]
+
+
 def alldiff_model(domains, specs, counted):
     """The drawn model; constraint i declares its count_terms when counted(i)."""
     cons = []
-    for i, (scope, pair, _) in enumerate(specs):
-        if pair:
-            error, batch, term = alldiff_primal_violation, alldiff_primal_violation_batch, \
-                lambda c: c * (c - 1) // 2
-        else:
-            error, batch, term = _duplicate_positions, _duplicate_positions_batch, \
-                lambda c: max(c - 1, 0)
+    for i, (scope, pairs, _) in enumerate(specs):
+        error, batch, term = COUNT_ERRORS[0 if pairs else 1]
         terms = tuple(term(c) for c in range(len(scope) + 1)) if counted(i) else None
         cons.append(Constraint(scope=scope, error=error, predicate=_all_distinct,
                                error_batch=batch, count_terms=terms))

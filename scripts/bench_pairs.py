@@ -15,7 +15,10 @@ change stays within the metric's bound and meets the gain rule: all ten
 pairs run, at least 9 of them won and medians apart by more than the parent's
 interquartile distance. The file is rewritten after every run, so an
 interrupted run keeps what it measured. Standard library only; the two
-checkouts are run, never modified.
+checkouts are run, never modified: every run gets its own
+PYTHONPYCACHEPREFIX, a fresh temporary directory removed after the run,
+so both sides compile from source each time and neither checkout gains
+or reads a __pycache__.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -43,7 +47,9 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     start = time.perf_counter()
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_pycache_") as prefix:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": prefix}
+        proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     record = {"workload": workload, "seed": seed, "trace": trace, "exit": proc.returncode,
               "wall_s": round(time.perf_counter() - start, 3), "stdout_lines": lines}

@@ -148,6 +148,8 @@ def reference_costs_batch(c: ConstraintInstance, xs: np.ndarray) -> np.ndarray:
     if not has_closed_form(c):
         raise ValueError(f"no closed-form Hamming cost for {c.kind.value}")
     if c.kind is ConstraintKind.ALL_DIFFERENT:
+        if c.d < c.n:
+            raise ValueError("alldiff with d < n has no solution")
         s = np.sort(xs, axis=1)
         distinct = 1 + (s[:, 1:] != s[:, :-1]).sum(axis=1)
         return (c.n - distinct).astype(np.int64)
@@ -171,10 +173,9 @@ def reference_costs_batch(c: ConstraintInstance, xs: np.ndarray) -> np.ndarray:
 
 def has_closed_form(c: ConstraintInstance) -> bool:
     """Whether reference_costs_batch knows c's exact Hamming cost: every kind
-    but NoOverlap1D, and AllDifferent only while d >= n (the counting
-    argument needs a free value for every repeated one)."""
-    if c.kind is ConstraintKind.ALL_DIFFERENT:
-        return c.d >= c.n
+    but NoOverlap1D. An instance without a solution (AllDifferent with
+    d < n, Minimum with p > hi, LinearSum with p out of reach) counts as
+    one: reference_costs_batch says it has no solution, without a search."""
     return c.kind is not ConstraintKind.NO_OVERLAP_1D
 
 

@@ -55,8 +55,9 @@ class LearnResult:
 
     @property
     def best_deviation(self) -> float:
-        """Training deviation of the best genome (loss minus its length penalty)."""
-        return self.best_loss - icn.regularization(self.best_genome)
+        """Training deviation of the best genome: its loss minus its length
+        penalty, rounded to the integer that a float subtraction can miss."""
+        return float(round(self.best_loss - icn.regularization(self.best_genome)))
 
 
 def random_genome(rng: random.Random) -> Genome:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import statistics
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -31,81 +32,60 @@ TABU_TENURE = 2
 PLATEAU_MOVES_PER_VARIABLE = 10
 
 
-def alldiff_primal_violation(x: Sequence[int]) -> int:
-    """Number of index pairs sharing a value (primal-graph violation count)."""
-    counts: dict[int, int] = {}
-    for v in x:
-        counts[v] = counts.get(v, 0) + 1
-    return sum(c * (c - 1) // 2 for c in counts.values())
-
-
-def alldiff_primal_violation_batch(X: np.ndarray) -> np.ndarray:
-    """alldiff_primal_violation of each row: equal ordered pairs, less the
-    diagonal, halved."""
-    equal = (X[:, :, None] == X[:, None, :]).sum(axis=(1, 2))
-    return (equal - X.shape[1]) // 2
-
-
 def _all_distinct(x: Sequence[int]) -> bool:
     return len(set(x)) == len(x)
 
 
-def _duplicate_positions(x: Sequence[int]) -> int:
-    # Equals Count>0( count_eq_right ): positions with a later duplicate.
-    return len(x) - len(set(x))
-
-
-def _duplicate_positions_batch(X: np.ndarray) -> np.ndarray:
-    """_duplicate_positions of each row: equal neighbours after a row sort."""
-    ordered = np.sort(X, axis=1)
-    return (ordered[:, 1:] == ordered[:, :-1]).sum(axis=1)
-
-
 def _has_duplicate(x: Sequence[int]) -> int:
     # The predicate variant's error: the 0/1 violation indicator.
-    return int(_duplicate_positions(x) > 0)
+    return int(not _all_distinct(x))
 
 
 def _has_duplicate_batch(X: np.ndarray) -> np.ndarray:
-    """_has_duplicate of each row."""
-    return (_duplicate_positions_batch(X) > 0).astype(np.int64)
+    """_has_duplicate of each row: any equal neighbours after a row sort."""
+    ordered = np.sort(X, axis=1)
+    return (ordered[:, 1:] == ordered[:, :-1]).any(axis=1).astype(np.int64)
 
 
 @dataclass
 class Constraint:
     """A scoped constraint with a guidance error and a ground-truth predicate.
 
-    error returns a non-negative integer, 0 exactly when the predicate is
+    The error is a non-negative integer, 0 exactly when the predicate is
     intended to hold; for a predicate-only constraint it is the 0/1
-    violation indicator. error is required. error_batch maps a (rows,
-    len(scope)) int64 candidate matrix to one error per row; left out, it
-    applies error row by row.
+    violation indicator. It is given in exactly one of two forms:
 
-    count_terms, when set, declares that the error is a sum over values of
-    a term depending only on how many scope variables hold the value:
-    error(x) == sum(count_terms[x.count(v)] for v in set(x)). It has
-    len(scope) + 1 entries and count_terms[0] == 0. The solver then scores
-    a move from value counts; otherwise it calls error_batch.
+    - error, a function of the scope's values, with an optional
+      error_batch that maps a (rows, len(scope)) int64 candidate matrix to
+      one error per row; left out, it applies error row by row.
+    - count_terms, a table of len(scope) + 1 entries with count_terms[0]
+      == 0: the error is a sum over values of a term depending only on how
+      many scope variables hold the value, count_terms[c] for a value held
+      c times. error and a row-by-row error_batch are derived from it, and
+      the solver scores a move from value counts.
     """
 
     scope: tuple[int, ...]
-    error: Callable[[Sequence[int]], int]
     predicate: Callable[[Sequence[int]], bool]
+    error: Optional[Callable[[Sequence[int]], int]] = None
     error_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     count_terms: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
+        where = f"constraint on scope {tuple(self.scope)}"
         if len(set(self.scope)) != len(self.scope):
             raise ValueError(f"scope {tuple(self.scope)} names a variable more than once")
+        if self.count_terms is not None:
+            if self.error is not None or self.error_batch is not None:
+                raise ValueError(f"{where} gives both count_terms and an error function")
+            if len(self.count_terms) != len(self.scope) + 1 or self.count_terms[0] != 0:
+                raise ValueError(
+                    f"{where}: count_terms needs {len(self.scope) + 1} entries, the first 0"
+                )
+            terms = self.count_terms
+            self.error = lambda x: sum(terms[c] for c in Counter(x).values())
         if self.error is None:
-            raise ValueError(f"constraint on scope {tuple(self.scope)} has no error function")
-        if self.count_terms is not None and (
-            len(self.count_terms) != len(self.scope) + 1 or self.count_terms[0] != 0
-        ):
-            raise ValueError(
-                f"constraint on scope {tuple(self.scope)}: count_terms needs "
-                f"{len(self.scope) + 1} entries, the first 0"
-            )
+            raise ValueError(f"{where} has no error function")
         if self.error_batch is None:
             error = self.error
             self.error_batch = lambda X: np.array([error(r) for r in X.tolist()], dtype=np.int64)
@@ -162,13 +142,12 @@ def build_sudoku(
             )
     domains = [(1, n)] * (n * n)
 
-    # The two count-based errors also declare their term per value count:
-    # a value held c times adds c(c-1)/2 equal pairs, or c-1 duplicates.
-    count_terms = None
+    # The two count-based errors are their terms per value count: a value
+    # held c times adds c(c-1)/2 equal pairs, or c-1 duplicate positions.
+    error = error_batch = count_terms = None
     if variant == "predicate":
         error, error_batch = _has_duplicate, _has_duplicate_batch
     elif variant == "handcrafted":
-        error, error_batch = alldiff_primal_violation, alldiff_primal_violation_batch
         count_terms = tuple(c * (c - 1) // 2 for c in range(n + 1))
     else:
         reference = icn.alldifferent_reference_genome()
@@ -180,7 +159,6 @@ def build_sudoku(
                 f"{icn.describe_genome(reference)} is coded directly"
             )
         if variant == "icn_hardcoded":
-            error, error_batch = _duplicate_positions, _duplicate_positions_batch
             count_terms = tuple(max(c - 1, 0) for c in range(n + 1))
         else:
             ef = ErrorFunction(genome, EvalContext(n=n, d=n, p=0, lo=1))
@@ -188,8 +166,8 @@ def build_sudoku(
     cons = [
         Constraint(
             scope=s,
-            error=error,
             predicate=_all_distinct,
+            error=error,
             error_batch=error_batch,
             count_terms=count_terms,
         )

@@ -47,6 +47,17 @@ def brute_force_hamming(kind, p, lo, hi, x):
     return best
 
 
+def equal_pairs(x):
+    """Index pairs i < j with x[i] == x[j]: AllDifferent's primal-graph
+    violation count."""
+    return sum(1 for i in range(len(x)) for j in range(i + 1, len(x)) if x[i] == x[j])
+
+
+def duplicate_positions(x):
+    """Positions i whose value comes again at some j > i."""
+    return sum(1 for i in range(len(x)) if any(x[j] == x[i] for j in range(i + 1, len(x))))
+
+
 def genome_bits(value):
     """The 31 bits of a genome int as a list, bit position 0 first (the
     most significant bit)."""

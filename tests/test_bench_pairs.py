@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
@@ -47,3 +48,26 @@ def test_gain_rule_needs_all_ten_pairs():
     metric = bench_pairs.summarize(runs, SPEC)["w"]["experiment_s"]
     assert metric["change_wins"] == 9 and metric["within_bound"]
     assert not metric["gain_rule_met"]
+
+
+def test_every_run_compiles_under_its_own_pycache_prefix(tmp_path, monkeypatch):
+    # A bytecode cache left in one checkout would let that side skip
+    # compiling, which bench/run.py's setup_s times.
+    checkout = tmp_path / "checkout"
+    checkout.mkdir()
+    prefixes = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        assert prefix.is_dir() and Path(cwd) == checkout
+        prefixes.append(prefix)
+        return subprocess.CompletedProcess(argv, 0, stdout='{"metrics": {}}\n', stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    for seed in range(3):
+        record = bench_pairs._run(checkout, "w", seed, 1, 0)
+        assert record["exit"] == 0 and record["result"] == {"metrics": {}}
+    assert len(set(prefixes)) == 3
+    for prefix in prefixes:
+        assert checkout not in prefix.resolve().parents and not prefix.exists()
+    assert list(checkout.iterdir()) == []

@@ -95,10 +95,16 @@ def test_hamming_reference_matches_brute_force(c):
         assert (got == 0) == concept_holds(c, x)
 
 
-def test_alldiff_small_domain_falls_back_to_enumeration():
-    c = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 3, 1, 2)
-    with pytest.raises(ValueError):
-        hamming_reference(c, [1, 2, 1])  # d < n: no solution anywhere
+def test_alldiff_small_domain_has_no_solution():
+    # d < n: no solution anywhere, said by the closed form without a search
+    # (n=9 over [1, 8] has 8^9 assignments, past the enumeration cap).
+    for n, hi in [(3, 2), (9, 8)]:
+        c = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, n, 1, hi)
+        x = [1] * n
+        with pytest.raises(ValueError, match="alldiff with d < n has no solution"):
+            hamming_reference(c, x)
+        with pytest.raises(ValueError, match="alldiff with d < n has no solution"):
+            reference_costs_batch(c, [x])
 
 
 def test_minimum_unsatisfiable_rejected():

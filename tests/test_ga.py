@@ -9,6 +9,7 @@ from efkit import icn
 from efkit.concepts import ConstraintInstance, ConstraintKind
 from efkit.ga import (
     GaConfig,
+    LearnResult,
     crossover,
     init_population,
     learn,
@@ -184,6 +185,18 @@ def test_learn_finds_alldiff_reference():
     res = learn(space, GaConfig(rng_seed=0))
     assert res.best_deviation == pytest.approx(0.0)
     assert icn.describe_genome(res.best_genome) == "Count>0( count_eq_right )"
+
+
+def test_best_deviation_is_the_exact_integer():
+    # loss - penalty in floats can land an ulp below the deviation: 8 with 4
+    # selected bits gives 7.999999999999999, 8192 with 5 gives 8191.999999999999.
+    for bits in range(icn.GENOME_LENGTH + 1):
+        genome = Genome((1 << bits) - 1)
+        for deviation in [*range(2000), 8192, 99_999]:
+            loss = deviation + icn.regularization(genome)
+            result = LearnResult(genome, loss, generations_run=1, loss_trace=[loss], seed=0)
+            assert result.best_deviation == deviation, (deviation, bits)
+            assert isinstance(result.best_deviation, float)
 
 
 @pytest.mark.parametrize(

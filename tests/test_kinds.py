@@ -45,9 +45,12 @@ def test_every_spelling_parses(kind):
 
 
 def _closed_form_returns(c, xs) -> bool:
+    # Saying that an instance has no solution is a closed-form answer too.
     try:
         reference_costs_batch(c, xs)
     except ValueError as exc:
+        if "has no solution" in str(exc):
+            return True
         if "no closed-form" not in str(exc):
             raise
         return False

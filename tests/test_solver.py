@@ -12,35 +12,28 @@ from efkit.solver import (
     Constraint,
     Model,
     _all_distinct,
-    _duplicate_positions,
-    _duplicate_positions_batch,
     _has_duplicate,
     _has_duplicate_batch,
-    alldiff_primal_violation,
-    alldiff_primal_violation_batch,
     benchmark_sudoku,
     build_sudoku,
     derive_seeds,
     solve,
 )
 
+from oracles import duplicate_positions, equal_pairs
+
 
 def test_alldiff_primal_violation():
-    assert alldiff_primal_violation([1, 2, 3]) == 0
-    assert alldiff_primal_violation([1, 1, 1]) == 3
-    assert alldiff_primal_violation([1, 1, 2, 2]) == 2
-    assert alldiff_primal_violation([5, 5, 5, 5]) == 6
+    # The handcrafted error counts the index pairs that share a value.
+    error = build_sudoku(3, "handcrafted").constraints[0].error
+    assert error([1, 2, 3]) == 0
+    assert error([1, 1, 1]) == 3
+    assert error([1, 1, 2, 2]) == 2
+    assert error([5, 5, 5, 5]) == 6
 
 
 @pytest.mark.parametrize("width", [9, 16])
-@pytest.mark.parametrize(
-    "batch, scalar",
-    [
-        (alldiff_primal_violation_batch, alldiff_primal_violation),
-        (_duplicate_positions_batch, _duplicate_positions),
-        (_has_duplicate_batch, _has_duplicate),
-    ],
-)
+@pytest.mark.parametrize("batch, scalar", [(_has_duplicate_batch, _has_duplicate)])
 def test_batch_errors_match_scalar_references(batch, scalar, width):
     rng = np.random.default_rng(width)
     X = np.concatenate(
@@ -121,6 +114,14 @@ def test_predicate_sudoku_scores_0_1_through_one_evaluator():
 def test_constraint_requires_an_error_function():
     with pytest.raises(ValueError, match="no error function"):
         Constraint(scope=(0, 1), error=None, predicate=lambda v: v[0] != v[1])
+
+
+def test_constraint_takes_one_error_form():
+    # count_terms is the whole definition; a second one could disagree.
+    terms = (0, 0, 1)
+    for extra in [{"error": equal_pairs}, {"error_batch": lambda X: X[:, 0] * 0}]:
+        with pytest.raises(ValueError, match=r"scope \(0, 1\) gives both count_terms and an error"):
+            Constraint(scope=(0, 1), predicate=lambda v: True, count_terms=terms, **extra)
 
 
 def test_solve_trivial_model_is_immediate():
@@ -293,7 +294,7 @@ def test_constraint_rejects_a_repeated_variable():
     # Counted twice, such a constraint would weigh double in the penalty
     # scan and in its variable's scoring plan.
     with pytest.raises(ValueError, match="names a variable more than once"):
-        Constraint(scope=(0, 1, 0), error=alldiff_primal_violation, predicate=lambda vals: True)
+        Constraint(scope=(0, 1, 0), error=equal_pairs, predicate=lambda vals: True)
 
 
 def test_unfaithful_guidance_restarts_are_counted_by_cause():
@@ -305,20 +306,22 @@ def test_unfaithful_guidance_restarts_are_counted_by_cause():
     assert out.unfaithful_restarts == out.restarts >= 1
 
 
-@pytest.mark.parametrize("variant", ["handcrafted", "icn_hardcoded"])
-def test_sudoku_count_terms_sum_to_the_error(variant):
-    con = build_sudoku(3, variant).constraints[0]
+@pytest.mark.parametrize("variant, oracle", [("handcrafted", equal_pairs),
+                                             ("icn_hardcoded", duplicate_positions)])
+def test_sudoku_count_terms_sum_to_the_error(variant, oracle):
     rng = np.random.default_rng(5)
     X = np.concatenate([rng.integers(1, 10, size=(300, 9)), np.full((1, 9), 3), [np.arange(1, 10)]])
-    by_counts = [sum(con.count_terms[row.count(v)] for v in set(row)) for row in X.tolist()]
-    assert by_counts == [con.error(row) for row in X.tolist()] == con.error_batch(X).tolist()
+    expected = [oracle(row) for row in X.tolist()]
+    for con in build_sudoku(3, variant).constraints:
+        assert [con.error(row) for row in X.tolist()] == expected
+        assert con.error_batch(X).dtype == np.int64
+        assert con.error_batch(X).tolist() == expected
 
 
 def test_count_terms_must_fit_the_scope():
     for terms in [(0, 0, 1), (1, 0, 1, 3), (0, 0, 1, 3, 6)]:
         with pytest.raises(ValueError, match="count_terms needs 4 entries, the first 0"):
-            Constraint(scope=(0, 1, 2), error=alldiff_primal_violation,
-                       predicate=lambda v: True, count_terms=terms)
+            Constraint(scope=(0, 1, 2), predicate=lambda v: True, count_terms=terms)
 
 
 @st.composite
@@ -327,7 +330,7 @@ def alldiff_models(draw):
     over [base, base + m), some cut to a prefix so that widths mix, with
     domains around that range and some variables fixed to the planted value.
     Each constraint either counts equal pairs or duplicate positions, and
-    is marked for value-count scoring in the mixed run or not."""
+    is given by its count terms in the mixed run or not."""
     m = draw(st.integers(3, 5))
     base = draw(st.integers(-5, 5))
     row_shift = draw(st.permutations(range(m)))
@@ -346,21 +349,24 @@ def alldiff_models(draw):
     return domains, specs
 
 
-# (error, error_batch, term per value count) of the two count-based errors.
+# (oracle error, term per value count) of the two count-based errors.
 COUNT_ERRORS = [
-    (alldiff_primal_violation, alldiff_primal_violation_batch, lambda c: c * (c - 1) // 2),
-    (_duplicate_positions, _duplicate_positions_batch, lambda c: max(c - 1, 0)),
+    (equal_pairs, lambda c: c * (c - 1) // 2),
+    (duplicate_positions, lambda c: max(c - 1, 0)),
 ]
 
 
 def alldiff_model(domains, specs, counted):
-    """The drawn model; constraint i declares its count_terms when counted(i)."""
+    """The drawn model; constraint i is given by its count_terms when
+    counted(i), else by the oracle error, scored through error_batch."""
     cons = []
     for i, (scope, pairs, _) in enumerate(specs):
-        error, batch, term = COUNT_ERRORS[0 if pairs else 1]
-        terms = tuple(term(c) for c in range(len(scope) + 1)) if counted(i) else None
-        cons.append(Constraint(scope=scope, error=error, predicate=_all_distinct,
-                               error_batch=batch, count_terms=terms))
+        error, term = COUNT_ERRORS[0 if pairs else 1]
+        if counted(i):
+            terms = tuple(term(c) for c in range(len(scope) + 1))
+            cons.append(Constraint(scope=scope, predicate=_all_distinct, count_terms=terms))
+        else:
+            cons.append(Constraint(scope=scope, predicate=_all_distinct, error=error))
     return Model(domains, cons)
 
 

@@ -307,7 +307,8 @@ def test_unfaithful_guidance_restarts_are_counted_by_cause():
 
 
 @pytest.mark.parametrize("variant, oracle", [("handcrafted", equal_pairs),
-                                             ("icn_hardcoded", duplicate_positions)])
+                                             ("icn_hardcoded", duplicate_positions)],
+                         ids=["handcrafted", "icn_hardcoded"])
 def test_sudoku_count_terms_sum_to_the_error(variant, oracle):
     rng = np.random.default_rng(5)
     X = np.concatenate([rng.integers(1, 10, size=(300, 9)), np.full((1, 9), 3), [np.arange(1, 10)]])

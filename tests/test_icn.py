@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 import re
 
@@ -128,6 +130,28 @@ def test_describe_reference_forms():
     assert describe_genome(two) == "AbsDiff_n( Sum( identity * eq_p ) )"
     added = genome_from_names(["count_eq_right", "lt_p"], "add", "Count>0", "identity")
     assert describe_genome(added) == "Count>0( count_eq_right + lt_p )"
+
+
+# Every operation's bit position, name and function: a sha256 prefix over
+# (genome int, describe_genome, network_outputs bytes) for each genome with
+# one operation per layer, then for two fixed transformation mixes under
+# every arithmetic, aggregation and comparison. Inputs have negative values
+# and p != 0, so sign, order and p all reach the outputs.
+CATALOG_MIXES = ((0, 1, 12), (6, 10, 15, 17))
+GOLDEN_CATALOG = "ccff5a5ac306b4fe"
+
+
+def test_catalog_golden():
+    rng = np.random.default_rng(14)
+    ctx = EvalContext(n=5, d=11, p=2, lo=-3)
+    X = rng.integers(-3, 8, size=(300, 5))
+    choices = [[(t,) for t in range(18)] + list(CATALOG_MIXES), range(2), range(2), range(9)]
+    digest = hashlib.sha256()
+    for t, a, g, c in itertools.product(*choices):
+        genome = bits_of(t=t, a=[a], g=[g], c=[c])
+        digest.update(f"{genome.value} {describe_genome(genome)}\n".encode())
+        digest.update(icn.network_outputs(genome, ctx, X).tobytes())
+    assert digest.hexdigest()[:16] == GOLDEN_CATALOG
 
 
 def test_regularization_values():

@@ -139,31 +139,26 @@ def _pair_mask(n: int, side: str) -> np.ndarray:
     return ~np.eye(n, dtype=bool)  # j != i
 
 
-def _pairwise_block(block: np.ndarray, rel: str, mask: np.ndarray, p: int) -> np.ndarray:
-    xi = block[:, :, None]
-    xj = block[:, None, :]
-    if rel == "eq":
-        hits = xj == xi
-    elif rel == "lt":
-        hits = xj < xi
-    elif rel == "gt":
-        hits = xj > xi
-    else:  # "near": |x_j - x_i| < p
-        hits = np.abs(xj - xi) < p
-    return (hits & mask).sum(axis=2)
+def _pairwise_block(block: np.ndarray, rel: Callable, mask: np.ndarray) -> np.ndarray:
+    return (rel(block[:, None, :], block[:, :, None]) & mask).sum(axis=2)
 
 
-def _pairwise_count(X: np.ndarray, rel: str, side: str, p: int = 0) -> np.ndarray:
+def _pairwise_count(X: np.ndarray, rel: Callable, side: str) -> np.ndarray:
     """Counts over index pairs: out[r, i] = |{j in side(i) : rel(x_j, x_i)}|."""
     m, n = X.shape
     mask = _pair_mask(n, side)
     chunk = max(1, _PAIR_CHUNK_CELLS // (n * n))
     if m <= chunk:
-        return _pairwise_block(X, rel, mask, p)
+        return _pairwise_block(X, rel, mask)
     out = np.empty((m, n), dtype=np.int64)
     for start in range(0, m, chunk):
-        out[start : start + chunk] = _pairwise_block(X[start : start + chunk], rel, mask, p)
+        out[start : start + chunk] = _pairwise_block(X[start : start + chunk], rel, mask)
     return out
+
+
+def _near(p: int) -> Callable:
+    """The relation |x_j - x_i| < p."""
+    return lambda xj, xi: np.abs(xj - xi) < p
 
 
 def _shift_next(X: np.ndarray) -> np.ndarray:
@@ -175,76 +170,49 @@ def _shift_prev(X: np.ndarray) -> np.ndarray:
     return np.concatenate([X[:, :1], X[:, :-1]], axis=1)
 
 
-TRANSFORMATION_NAMES = [
-    "identity",
-    "count_eq_right",
-    "count_eq_left",
-    "count_eq_others",
-    "count_lt_right",
-    "count_gt_right",
-    "count_lt_left",
-    "count_gt_left",
-    "max_with_next",
-    "min_with_next",
-    "drop_to_next",
-    "drop_from_prev",
-    "gap_below_p",
-    "gap_above_p",
-    "count_near_right",
-    "count_near_others",
-    "eq_p",
-    "lt_p",
-]
+# Each layer's operations by name, in genome bit order.
+_TRANSFORMATIONS: dict[str, Callable[[np.ndarray, EvalContext], np.ndarray]] = {
+    "identity": lambda X, ctx: X.copy(),
+    "count_eq_right": lambda X, ctx: _pairwise_count(X, np.equal, "right"),
+    "count_eq_left": lambda X, ctx: _pairwise_count(X, np.equal, "left"),
+    "count_eq_others": lambda X, ctx: _pairwise_count(X, np.equal, "all"),
+    "count_lt_right": lambda X, ctx: _pairwise_count(X, np.less, "right"),
+    "count_gt_right": lambda X, ctx: _pairwise_count(X, np.greater, "right"),
+    "count_lt_left": lambda X, ctx: _pairwise_count(X, np.less, "left"),
+    "count_gt_left": lambda X, ctx: _pairwise_count(X, np.greater, "left"),
+    "max_with_next": lambda X, ctx: np.maximum(X, _shift_next(X)),
+    "min_with_next": lambda X, ctx: np.minimum(X, _shift_next(X)),
+    "drop_to_next": lambda X, ctx: np.maximum(X - _shift_next(X), 0),
+    "drop_from_prev": lambda X, ctx: np.maximum(_shift_prev(X) - X, 0),
+    "gap_below_p": lambda X, ctx: np.maximum(ctx.p - X, 0),
+    "gap_above_p": lambda X, ctx: np.maximum(X - ctx.p, 0),
+    "count_near_right": lambda X, ctx: _pairwise_count(X, _near(ctx.p), "right"),
+    "count_near_others": lambda X, ctx: _pairwise_count(X, _near(ctx.p), "all"),
+    "eq_p": lambda X, ctx: (X == ctx.p).astype(np.int64),
+    "lt_p": lambda X, ctx: (X < ctx.p).astype(np.int64),
+}
 
-_TRANSFORMATION_FNS: list[Callable[[np.ndarray, EvalContext], np.ndarray]] = [
-    lambda X, ctx: X.copy(),
-    lambda X, ctx: _pairwise_count(X, "eq", "right"),
-    lambda X, ctx: _pairwise_count(X, "eq", "left"),
-    lambda X, ctx: _pairwise_count(X, "eq", "all"),
-    lambda X, ctx: _pairwise_count(X, "lt", "right"),
-    lambda X, ctx: _pairwise_count(X, "gt", "right"),
-    lambda X, ctx: _pairwise_count(X, "lt", "left"),
-    lambda X, ctx: _pairwise_count(X, "gt", "left"),
-    lambda X, ctx: np.maximum(X, _shift_next(X)),
-    lambda X, ctx: np.minimum(X, _shift_next(X)),
-    lambda X, ctx: np.maximum(X - _shift_next(X), 0),
-    lambda X, ctx: np.maximum(_shift_prev(X) - X, 0),
-    lambda X, ctx: np.maximum(ctx.p - X, 0),
-    lambda X, ctx: np.maximum(X - ctx.p, 0),
-    lambda X, ctx: _pairwise_count(X, "near", "right", ctx.p),
-    lambda X, ctx: _pairwise_count(X, "near", "all", ctx.p),
-    lambda X, ctx: (X == ctx.p).astype(np.int64),
-    lambda X, ctx: (X < ctx.p).astype(np.int64),
-]
-
-ARITHMETIC_NAMES = ["add", "mul"]
 _ARITHMETIC_SYMBOLS = {"add": " + ", "mul": " * "}
 
 AGGREGATION_NAMES = ["Sum", "Count>0"]
 
-COMPARISON_NAMES = [
-    "identity",
-    "AbsDiff_p",
-    "Euclid_p",
-    "AbsDiff_n",
-    "AbsDiff_d",
-    "Excess_p",
-    "Shortfall_p",
-    "NonZero",
-    "Euclid_0",
-]
+_COMPARISONS: dict[str, Callable[[np.ndarray, EvalContext], np.ndarray]] = {
+    "identity": lambda y, ctx: np.abs(y),
+    "AbsDiff_p": lambda y, ctx: np.abs(y - ctx.p),
+    "Euclid_p": lambda y, ctx: (np.abs(y - ctx.p) + ctx.d - 1) // ctx.d,
+    "AbsDiff_n": lambda y, ctx: np.abs(y - ctx.n),
+    "AbsDiff_d": lambda y, ctx: np.abs(y - ctx.d),
+    "Excess_p": lambda y, ctx: np.maximum(y - ctx.p, 0),
+    "Shortfall_p": lambda y, ctx: np.maximum(ctx.p - y, 0),
+    "NonZero": lambda y, ctx: (y != 0).astype(np.int64),
+    "Euclid_0": lambda y, ctx: (np.abs(y) + ctx.d - 1) // ctx.d,
+}
 
-_COMPARISON_FNS: list[Callable[[np.ndarray, EvalContext], np.ndarray]] = [
-    lambda y, ctx: np.abs(y),
-    lambda y, ctx: np.abs(y - ctx.p),
-    lambda y, ctx: (np.abs(y - ctx.p) + ctx.d - 1) // ctx.d,
-    lambda y, ctx: np.abs(y - ctx.n),
-    lambda y, ctx: np.abs(y - ctx.d),
-    lambda y, ctx: np.maximum(y - ctx.p, 0),
-    lambda y, ctx: np.maximum(ctx.p - y, 0),
-    lambda y, ctx: (y != 0).astype(np.int64),
-    lambda y, ctx: (np.abs(y) + ctx.d - 1) // ctx.d,
-]
+TRANSFORMATION_NAMES = list(_TRANSFORMATIONS)
+_TRANSFORMATION_FNS = list(_TRANSFORMATIONS.values())
+ARITHMETIC_NAMES = list(_ARITHMETIC_SYMBOLS)
+COMPARISON_NAMES = list(_COMPARISONS)
+_COMPARISON_FNS = list(_COMPARISONS.values())
 
 
 def genome_from_names(
@@ -312,7 +280,7 @@ def _forward(
     else:
         combined = _clamp(vectors[0])
         for v in vectors[1:]:
-            combined = _clamp(combined * np.clip(v, -SATURATION_CEILING, SATURATION_CEILING))
+            combined = _clamp(combined * _clamp(v))
     if agg == 0:
         y = _clamp(combined.sum(axis=1))
     else:

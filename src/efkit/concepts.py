@@ -141,27 +141,37 @@ def _longest_nondecreasing_run(x: Sequence[int]) -> int:
     return len(tails)
 
 
+def check_solvable(c: ConstraintInstance) -> None:
+    """Raise a ValueError when c has no solution: AllDifferent with d < n,
+    Minimum with p > hi, LinearSum with p outside [n * lo, n * hi] and
+    NoOverlap1D with d < (n - 1) * p + 1. Ordered always has one."""
+    if c.kind is ConstraintKind.ALL_DIFFERENT and c.d < c.n:
+        raise ValueError("alldiff with d < n has no solution")
+    if c.kind is ConstraintKind.MINIMUM and c.p > c.hi:
+        raise ValueError(f"minimum with p={c.p} > hi={c.hi} has no solution")
+    if c.kind is ConstraintKind.LINEAR_SUM and not c.n * c.lo <= c.p <= c.n * c.hi:
+        raise ValueError(f"linearsum with p={c.p} has no solution on {c.n} x [{c.lo}, {c.hi}]")
+    if c.kind is ConstraintKind.NO_OVERLAP_1D and c.d < (c.n - 1) * c.p + 1:
+        raise ValueError(f"nooverlap n={c.n} p={c.p} does not fit in [{c.lo}, {c.hi}]")
+
+
 def reference_costs_batch(c: ConstraintInstance, xs: np.ndarray) -> np.ndarray:
     """Closed-form Hamming costs for a (m, n) matrix; instances without a
-    closed form are rejected (use the enumeration/sampling oracles instead)."""
+    closed form are rejected (use the enumeration/sampling oracles instead),
+    then instances without a solution (see check_solvable)."""
     xs = _rows(c, xs)
     if not has_closed_form(c):
         raise ValueError(f"no closed-form Hamming cost for {c.kind.value}")
+    check_solvable(c)
     if c.kind is ConstraintKind.ALL_DIFFERENT:
-        if c.d < c.n:
-            raise ValueError("alldiff with d < n has no solution")
         s = np.sort(xs, axis=1)
         distinct = 1 + (s[:, 1:] != s[:, :-1]).sum(axis=1)
         return (c.n - distinct).astype(np.int64)
     if c.kind is ConstraintKind.MINIMUM:
-        if c.p > c.hi:
-            raise ValueError(f"minimum with p={c.p} > hi={c.hi} has no solution")
         return (xs < c.p).sum(axis=1).astype(np.int64)
     if c.kind is ConstraintKind.ORDERED:
         return np.array([c.n - _longest_nondecreasing_run(row) for row in xs], dtype=np.int64)
     # LinearSum, the one kind left: move the values with the most room toward p first.
-    if not c.n * c.lo <= c.p <= c.n * c.hi:
-        raise ValueError(f"linearsum with p={c.p} has no solution on {c.n} x [{c.lo}, {c.hi}]")
     delta = c.p - xs.sum(axis=1)
     room = np.where(delta[:, None] > 0, c.hi - xs, xs - c.lo)
     room = -np.sort(-room, axis=1)
@@ -173,9 +183,8 @@ def reference_costs_batch(c: ConstraintInstance, xs: np.ndarray) -> np.ndarray:
 
 def has_closed_form(c: ConstraintInstance) -> bool:
     """Whether reference_costs_batch knows c's exact Hamming cost: every kind
-    but NoOverlap1D. An instance without a solution (AllDifferent with
-    d < n, Minimum with p > hi, LinearSum with p out of reach) counts as
-    one: reference_costs_batch says it has no solution, without a search."""
+    but NoOverlap1D. An instance without a solution counts as one:
+    reference_costs_batch says so through check_solvable, without a search."""
     return c.kind is not ConstraintKind.NO_OVERLAP_1D
 
 

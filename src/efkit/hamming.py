@@ -139,8 +139,10 @@ def approx_hamming(x: Sequence[int], s: SolutionSet) -> int:
 def hamming_reference(c: ConstraintInstance, x: Sequence[int]) -> int:
     """Exact Hamming cost of x: one-row concepts.reference_costs_batch when
     concepts.has_closed_form(c), else the distance to every solution found
-    by enumeration."""
+    by enumeration. An instance without a solution is a ValueError from
+    concepts.check_solvable, before any search."""
     c.check_assignment(x)
+    concepts.check_solvable(c)
     if concepts.has_closed_form(c):
         return int(concepts.reference_costs_batch(c, [x])[0])
     return exact_hamming(x, exhaustive_solution_set(c))

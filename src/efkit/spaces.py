@@ -18,6 +18,7 @@ from .concepts import (
     CONSTRAINT_KEYS,
     ConstraintInstance,
     ConstraintKind,
+    check_solvable,
     concept_holds_batch,
     constraint_from_fields,
     format_constraint_line,
@@ -209,19 +210,18 @@ def sample_solutions(c: ConstraintInstance, count: int, rng_seed: int) -> np.nda
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if c.kind is ConstraintKind.LINEAR_SUM:
+        raise NoDirectSamplerError(f"no direct solution sampler for {c.kind.value}")
+    check_solvable(c)
     rng = np.random.default_rng(rng_seed)
     d, n = c.d, c.n
     if c.kind is ConstraintKind.ALL_DIFFERENT:
-        if d < n:
-            raise ValueError("alldiff with d < n has no solution")
         domain = np.arange(c.lo, c.hi + 1)
         out = np.empty((count, n), dtype=np.int64)
         for i in range(count):
             out[i] = rng.permutation(domain)[:n]
         return out
     if c.kind is ConstraintKind.MINIMUM:
-        if c.p > c.hi:
-            raise ValueError(f"minimum with p={c.p} > hi={c.hi} has no solution")
         return rng.integers(max(c.lo, c.p), c.hi + 1, size=(count, n), dtype=np.int64)
     if c.kind is ConstraintKind.ORDERED:
         # Nondecreasing x over [lo, hi] <-> strictly increasing x[i] + i,
@@ -230,19 +230,16 @@ def sample_solutions(c: ConstraintInstance, count: int, rng_seed: int) -> np.nda
         for i in range(count):
             picks[i] = np.sort(rng.choice(d + n - 1, size=n, replace=False))
         return c.lo + picks - np.arange(n)
-    if c.kind is ConstraintKind.NO_OVERLAP_1D:
-        # Sorted starts with gaps >= p <-> an n-subset of a shrunken range;
-        # a random per-row shuffle then spreads the starts over variables.
-        width = d - (n - 1) * (c.p - 1)
-        if width < n:
-            raise ValueError(f"nooverlap n={n} p={c.p} does not fit in [{c.lo}, {c.hi}]")
-        out = np.empty((count, n), dtype=np.int64)
-        for i in range(count):
-            picks = np.sort(rng.choice(width, size=n, replace=False))
-            starts = c.lo + picks + np.arange(n) * (c.p - 1)
-            out[i] = rng.permutation(starts)
-        return out
-    raise NoDirectSamplerError(f"no direct solution sampler for {c.kind.value}")
+    # NoOverlap1D, the one kind left: sorted starts with gaps >= p <-> an
+    # n-subset of a shrunken range; a random per-row shuffle then spreads
+    # the starts over variables.
+    width = d - (n - 1) * (c.p - 1)
+    out = np.empty((count, n), dtype=np.int64)
+    for i in range(count):
+        picks = np.sort(rng.choice(width, size=n, replace=False))
+        starts = c.lo + picks + np.arange(n) * (c.p - 1)
+        out[i] = rng.permutation(starts)
+    return out
 
 
 def sample_balanced_direct(

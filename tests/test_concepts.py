@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from efkit.concepts import (
     ConstraintInstance,
     ConstraintKind,
+    check_solvable,
     concept_holds,
     concept_holds_batch,
     format_constraint_line,
@@ -18,6 +19,7 @@ from efkit.concepts import (
     parse_kind,
     reference_costs_batch,
 )
+from efkit import hamming
 from efkit.hamming import hamming_reference
 
 from oracles import all_assignments, brute_force_hamming, concept_naive
@@ -105,6 +107,51 @@ def test_alldiff_small_domain_has_no_solution():
             hamming_reference(c, x)
         with pytest.raises(ValueError, match="alldiff with d < n has no solution"):
             reference_costs_batch(c, [x])
+
+
+def test_nooverlap_that_does_not_fit_has_no_solution(monkeypatch):
+    # d < (n - 1) * p + 1: said without a search. n=7 over [1, 9] would
+    # enumerate 9^7 rows; n=9 over [1, 8] is past the enumeration cap.
+    def no_search(c):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(hamming, "exhaustive_solution_set", no_search)
+    for n, hi, p in [(7, 9, 2), (9, 8, 1)]:
+        c = ConstraintInstance(ConstraintKind.NO_OVERLAP_1D, n, 1, hi, p=p)
+        with pytest.raises(ValueError, match=f"nooverlap n={n} p={p} does not fit in \\[1, {hi}\\]"):
+            hamming_reference(c, [1] * n)
+
+
+def solvability_cases():
+    """Every kind over n 2-4, lo -1 to 1 and d 2-5, with p over each
+    parametric kind's boundary: [lo - 1, hi + 1] for Minimum,
+    [n * lo - 1, n * hi + 1] for LinearSum and [1, d + 1] for NoOverlap1D."""
+    K = ConstraintKind
+    for n in range(2, 5):
+        for lo in range(-1, 2):
+            for d in range(2, 6):
+                hi = lo + d - 1
+                yield ConstraintInstance(K.ALL_DIFFERENT, n, lo, hi)
+                yield ConstraintInstance(K.ORDERED, n, lo, hi)
+                for p in range(lo - 1, hi + 2):
+                    yield ConstraintInstance(K.MINIMUM, n, lo, hi, p)
+                for p in range(n * lo - 1, n * hi + 2):
+                    yield ConstraintInstance(K.LINEAR_SUM, n, lo, hi, p)
+                for p in range(1, d + 2):
+                    yield ConstraintInstance(K.NO_OVERLAP_1D, n, lo, hi, p)
+
+
+def test_check_solvable_raises_iff_enumeration_finds_no_solution():
+    cases = list(solvability_cases())
+    assert len(cases) == 810
+    for c in cases:
+        solvable = any(concept_naive(c.kind.value, c.p, x) for x in all_assignments(c.n, c.lo, c.hi))
+        try:
+            check_solvable(c)
+            raised = False
+        except ValueError:
+            raised = True
+        assert raised != solvable, format_constraint_line(c)
 
 
 def test_minimum_unsatisfiable_rejected():

@@ -8,16 +8,16 @@ commands that workloads.run_learning runs, once with each checkout's efkit.
 Each side runs in its own temporary directory under the same relative
 paths, so the paths recorded in manifests match. Prints how many files it
 compared and each file that differs or exists on one side only, and exits 1
-on any difference or failed command. Standard library only; the checkouts
-are read, never written: every command runs with -B, so no __pycache__
-lands in them.
+on any difference or failed command. It imports the standard library and
+the change checkout's bench modules only. The checkouts are read, never
+written: neither this process nor the commands, run with -B, write a
+__pycache__ into them.
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
-import importlib.util
 import os
 import subprocess
 import sys
@@ -31,15 +31,11 @@ EFKIT = "import sys; from efkit.cli import main; sys.exit(main(sys.argv[1:]))"
 def load_workloads(checkout: Path):
     """A checkout's bench/workloads.py, imported with its bench directory on
     sys.path for the benchmark modules it imports."""
-    bench = str(checkout / "bench")
-    sys.path.insert(0, bench)
-    try:
-        spec = importlib.util.spec_from_file_location("workloads", checkout / "bench" / "workloads.py")
-        module = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(bench)
-    return module
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(checkout / "bench"))
+    import workloads
+
+    return workloads
 
 
 def commands(workloads) -> list[tuple[Path, list[str]]]:

@@ -7,17 +7,19 @@ bench/workloads.py, at seeds 0 and 1, runs the `gen-space` and `learn`
 commands that workloads.run_learning runs, once with each checkout's efkit.
 Each side runs in its own temporary directory under the same relative
 paths, so the paths recorded in manifests match. Prints how many files it
-compared and each file that differs or exists on one side only, and exits 1
-on any difference or failed command. It imports the standard library and
-the change checkout's bench modules only. The checkouts are read, never
-written: neither this process nor the commands, run with -B, write a
-__pycache__ into them.
+compared and each file that differs or exists on one side only, with the
+dotted key paths that differ in a JSON file, and exits 1 on any difference
+or failed command. It imports the standard library and the change
+checkout's bench modules only. The checkouts are read, never written:
+neither this process nor the commands, run with -B, write a __pycache__
+into them.
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -76,9 +78,47 @@ def run_side(checkout: Path, root: Path, argvs: list[tuple[Path, list[str]]]) ->
     return failures
 
 
+def _children(value):
+    """A JSON object's members, or a JSON array's items keyed by index."""
+    if isinstance(value, dict):
+        return value
+    if isinstance(value, list):
+        return {str(i): item for i, item in enumerate(value)}
+    return None
+
+
+def json_differences(parent, change, path: str = "") -> list[str]:
+    """The dotted key paths at which two parsed JSON values differ, marking
+    those that exist on one side only."""
+    a, b = _children(parent), _children(change)
+    if a is None or b is None or type(parent) is not type(change):
+        return [] if parent == change and type(parent) is type(change) else [path or "(root)"]
+    out = []
+    for key in [*a, *(k for k in b if k not in a)]:
+        sub = f"{path}.{key}" if path else key
+        if key not in b:
+            out.append(f"{sub} (only in parent)")
+        elif key not in a:
+            out.append(f"{sub} (only in change)")
+        else:
+            out += json_differences(a[key], b[key], sub)
+    return out
+
+
+def describe_json(parent: Path, change: Path) -> str:
+    """': ' and the differing key paths of two JSON files, or '' when either
+    does not parse or only the formatting differs."""
+    try:
+        keys = json_differences(json.loads(parent.read_text()), json.loads(change.read_text()))
+    except ValueError:
+        return ""
+    return ": " + ", ".join(keys) if keys else ""
+
+
 def compare(parent: Path, change: Path) -> tuple[int, list[str]]:
     """The number of files under either root, and one line per file that
-    differs or exists on one side only."""
+    differs or exists on one side only. A differing JSON file's line names
+    the key paths that differ."""
     files = {side: {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
              for side, root in (("parent", parent), ("change", change))}
     lines = []
@@ -88,7 +128,8 @@ def compare(parent: Path, change: Path) -> tuple[int, list[str]]:
         elif rel not in files["parent"]:
             lines.append(f"only in change: {rel}")
         elif not filecmp.cmp(parent / rel, change / rel, shallow=False):
-            lines.append(f"differs: {rel}")
+            detail = describe_json(parent / rel, change / rel) if rel.suffix == ".json" else ""
+            lines.append(f"differs: {rel}{detail}")
     return len(files["parent"] | files["change"]), lines
 
 

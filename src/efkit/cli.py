@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import statistics
 import sys
@@ -43,6 +42,7 @@ def _config_echo(args) -> dict:
 
 def cmd_gen_space(args) -> int:
     c = _constraint_from_args(args)
+    concepts.check_solvable(c)  # every space's costs need a solution
     if args.complete:
         space = spaces.enumerate_complete(c, cap=args.cap)
     elif args.solutions == "direct":
@@ -70,39 +70,12 @@ def cmd_gen_space(args) -> int:
     return 0
 
 
-# GA settings a config file or a flag may override, with their readers:
-# integers strictly, rates with float(). The seed always comes from --seed.
-_GA_SETTINGS = {
-    f.name: integer if type(f.default) is int else float
-    for f in dataclasses.fields(ga.GaConfig)
-    if f.name != "rng_seed"
-}
-
-
-def _read_ga_config_file(path) -> dict:
-    overrides = {}
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = (part.strip() for part in line.partition("="))
-        if key == "rng_seed":
-            raise ValueError(f"{path}:{ln}: the GA seed is set by --seed, not the config file")
-        if not sep or key not in _GA_SETTINGS:
-            raise ValueError(f"{path}:{ln}: expected `<{'|'.join(_GA_SETTINGS)}>=<value>`")
-        try:
-            overrides[key] = _GA_SETTINGS[key](value)
-        except ValueError:
-            kind = "an integer" if _GA_SETTINGS[key] is integer else "a number"
-            raise ValueError(f"{path}:{ln}: {key} must be {kind}, got {value!r}") from None
-    return overrides
+# GA settings a flag may override; the seed always comes from --seed.
+_GA_SETTINGS = ("population_size", "max_generations", "steady_stop")
 
 
 def _ga_config(args) -> ga.GaConfig:
-    settings = _read_ga_config_file(args.config) if args.config else {}
-    for key in _GA_SETTINGS:
-        if getattr(args, key) is not None:
-            settings[key] = getattr(args, key)
+    settings = {key: getattr(args, key) for key in _GA_SETTINGS if getattr(args, key) is not None}
     return ga.GaConfig(**settings, rng_seed=args.seed)
 
 
@@ -282,9 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=integer, default=1)
     p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--jobs", type=integer, default=1)
-    p.add_argument("--config", help="key=value file overriding GA defaults")
-    for key, kind in _GA_SETTINGS.items():
-        p.add_argument("--" + key.replace("_", "-"), type=kind, dest=key)
+    for key in _GA_SETTINGS:
+        p.add_argument("--" + key.replace("_", "-"), type=integer, dest=key)
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("eval", help="score genome files against a space file")

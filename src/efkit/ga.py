@@ -21,28 +21,29 @@ from .spaces import LabeledSpace
 from .util import map_jobs
 
 
+# The one GA configuration every learning uses: the share of parent pairs
+# crossed over, the share of offspring given a one-bit mutation, and the share
+# of the old generation kept as elites.
+CROSSOVER_RATE = 0.4
+MUTATION_RATE = 1.0
+ELITE_FRACTION = 0.17
+
+
 @dataclass
 class GaConfig:
     population_size: int = 160
     max_generations: int = 800
     steady_stop: int = 50
-    crossover_rate: float = 0.4
-    mutation_rate: float = 1.0
-    elite_fraction: float = 0.17
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("crossover_rate", "mutation_rate", "elite_fraction"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {rate}")
         for name in ("population_size", "max_generations", "steady_stop"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
     @property
     def elite_count(self) -> int:
-        return math.ceil(self.elite_fraction * self.population_size)
+        return math.ceil(ELITE_FRACTION * self.population_size)
 
 
 @dataclass
@@ -165,12 +166,13 @@ def learn(
         while len(offspring) < cfg.population_size:
             parent1 = select(population, losses, rng)
             parent2 = select(population, losses, rng)
-            if rng.random() < cfg.crossover_rate:
+            if rng.random() < CROSSOVER_RATE:
                 child1, child2 = crossover(parent1, parent2, rng)
             else:
                 child1, child2 = parent1, parent2
             for child in (child1, child2):
-                if rng.random() < cfg.mutation_rate:
+                # Drawn even at a rate of 1, so the seeded stream stays as pinned.
+                if rng.random() < MUTATION_RATE:
                     child = mutate(child, rng)
                 offspring.append(child)
         offspring = offspring[: cfg.population_size]

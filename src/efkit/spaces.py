@@ -309,9 +309,9 @@ def _int_token(path, ln: int, token: str) -> int:
 def load_space(path) -> LabeledSpace:
     """Read a space file, rejecting with the file and line: a header with a
     token that is not key=value, an unknown, repeated or missing key, or an
-    invalid constraint; rows of the wrong width, non-integer tokens, values
-    outside [lo, hi], labels other than 0/1 or at odds with the concept, and
-    solutions with a non-zero cost."""
+    invalid constraint; a file with no rows; rows of the wrong width,
+    non-integer tokens, values outside [lo, hi], labels other than 0/1 or at
+    odds with the concept, and solutions with a non-zero cost."""
     text = Path(path).read_text().splitlines()
     if not text or not text[0].startswith("# constraint "):
         raise ValueError(f"{path}:1: missing space header")
@@ -346,7 +346,9 @@ def load_space(path) -> LabeledSpace:
         labels.append(label == "1")
         costs.append(cost)
         line_nos.append(ln)
-    xs = np.array(rows, dtype=np.int64).reshape(len(rows), c.n)
+    if not rows:
+        raise ValueError(f"{path}:2: no rows after the header")
+    xs = np.array(rows, dtype=np.int64)
     label_arr = np.array(labels, dtype=bool)
     outside = np.flatnonzero(((xs < c.lo) | (xs > c.hi)).any(axis=1))
     if len(outside):

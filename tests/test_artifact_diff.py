@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 from pathlib import Path
@@ -83,3 +84,34 @@ def test_a_failed_command_exits_1(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 2 * 44 + 1 and out[0].endswith("efkit: error: boom")
     assert out[-1] == "artifact_diff: 44 commands per side, compared 0 files, 0 differ, 88 commands failed"
+
+
+def test_a_differing_json_file_names_its_key_paths(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    ga_config = {"population_size": 60, "elite_fraction": 0.17}
+    manifest = {"command": "learn", "outputs": ["a", "b"],
+                "config": {"config": None, "runs": 2, "ga_config": ga_config}}
+    edited = {"command": "learn", "outputs": ["a"],
+              "config": {"runs": 3, "ga_config": {"population_size": 60}, "jobs": 1}}
+    files = {
+        "learn/manifest.json": (json.dumps(manifest), json.dumps(edited)),
+        "reformatted.json": ('{"a": [1, 2]}', '{"a":[1,2]}'),
+        "int-or-float.json": ('{"a": 1}', '{"a": 1.0}'),
+        "broken.json": ("{", "{}"),
+        "run.genome.txt": ("0\n", "1\n"),
+        "same.json": ("{}", "{}"),
+    }
+    for rel, texts in files.items():
+        for root, text in zip((parent, change), texts):
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text)
+    count, lines = artifact_diff.compare(parent, change)
+    assert count == len(files)
+    assert lines == [
+        "differs: broken.json",
+        "differs: int-or-float.json: a",
+        "differs: learn/manifest.json: outputs.1 (only in parent), config.config (only in parent), "
+        "config.runs, config.ga_config.elite_fraction (only in parent), config.jobs (only in change)",
+        "differs: reformatted.json",
+        "differs: run.genome.txt",
+    ]

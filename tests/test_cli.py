@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from efkit import icn
+from efkit import icn, spaces
 from efkit.cli import build_parser, main
 from efkit.concepts import ConstraintInstance, ConstraintKind
 from efkit.spaces import load_space
@@ -92,6 +92,30 @@ def test_gen_space_rejects_bounds_past_int64_sums(tmp_path, capsys):
     assert not (tmp_path / "never.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kind", "alldiff", "--n", "9", "--lo", "1", "--hi", "8", "--sampled", "--k", "10"],
+         "alldiff with d < n has no solution"),
+        (["--kind", "nooverlap", "--n", "6", "--lo", "1", "--hi", "9", "--p", "2", "--complete"],
+         "nooverlap n=6 p=2 does not fit in [1, 9]"),
+    ],
+    ids=["alldiff-sampled", "nooverlap-complete"],
+)
+def test_gen_space_rejects_an_unsolvable_instance_before_any_search(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    def search(*args, **kwargs):
+        raise AssertionError("searched a space with no solution")
+
+    for name in ("enumerate_complete", "sample_balanced", "sample_balanced_direct"):
+        monkeypatch.setattr(spaces, name, search)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("gen-space", *argv, "--seed", "0", "--out", "s.txt") == 1
+    assert capsys.readouterr().err == f"efkit: error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def learn_args(space, out_dir, runs=3):
     return [
         "learn", "--space", str(space), "--out-dir", str(out_dir),
@@ -151,6 +175,20 @@ def test_learn_rejects_inconsistent_space_file(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_learn_and_eval_name_an_empty_space_file(tmp_path, capsys):
+    space = tmp_path / "empty.space.txt"
+    space.write_text("# constraint kind=alldiff n=4 lo=1 hi=5 p=0 complete=0\n")
+    out_dir = tmp_path / "runs"
+    assert run_cli(*learn_args(space, out_dir, runs=1)) == 1
+    assert not out_dir.exists()
+    genome = tmp_path / "g.genome.txt"
+    ctx = icn.ctx_from_constraint(ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 4, 1, 5))
+    icn.save_genome(icn.ErrorFunction(icn.alldifferent_reference_genome(), ctx), genome)
+    assert run_cli("eval", "--genome", str(genome), "--space", str(space)) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"efkit: error: {space}:2: no rows after the header\n") == 2
+
+
 def test_learn_reproducible(tmp_path, alldiff_space):
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     run_cli(*learn_args(alldiff_space, dir_a, runs=2))
@@ -198,39 +236,14 @@ def test_eval_rejects_malformed_genome_file(tmp_path, alldiff_space, capsys):
     assert f"{genome}:3: duplicate ctx key 'n'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "line, message",
-    [
-        ("crossover_rate=abc", "crossover_rate must be a number, got 'abc'"),
-        ("steady_stop=1.5", "steady_stop must be an integer, got '1.5'"),
-        ("rng_seed=7", "the GA seed is set by --seed"),
-        ("selection_tournament_size=2", "expected `<population_size|"),
-        ("population_size=1_6", "population_size must be an integer, got '1_6'"),
-        ("max_generations=+5", "max_generations must be an integer, got '+5'"),
-    ],
-)
-def test_learn_config_file_errors_name_file_and_line(tmp_path, alldiff_space, capsys, line, message):
-    config = tmp_path / "ga.cfg"
-    config.write_text(f"# GA overrides\nmutation_rate=0.5\n{line}\n")
+def test_learn_flags_reach_the_manifest(tmp_path, alldiff_space):
     out_dir = tmp_path / "runs"
-    assert run_cli(*learn_args(alldiff_space, out_dir, runs=1), "--config", str(config)) == 1
-    assert f"{config}:3: {message}" in capsys.readouterr().err
-    assert not out_dir.exists()
-
-
-def test_learn_config_file_and_flags_reach_the_manifest(tmp_path, alldiff_space):
-    config = tmp_path / "ga.cfg"
-    config.write_text("mutation_rate=0.5\nsteady_stop=3\n")
-    out_dir = tmp_path / "runs"
-    assert run_cli(*learn_args(alldiff_space, out_dir, runs=1), "--config", str(config)) == 0
+    assert run_cli(*learn_args(alldiff_space, out_dir, runs=1)) == 0
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["config"]["ga_config"] == {
         "population_size": 60,
         "max_generations": 40,
-        "steady_stop": 10,  # the flag wins over the file
-        "crossover_rate": 0.4,
-        "mutation_rate": 0.5,
-        "elite_fraction": 0.17,
+        "steady_stop": 10,
         "rng_seed": 5,
     }
 
@@ -301,8 +314,8 @@ def test_out_of_range_flags_are_input_errors(tmp_path, monkeypatch, capsys, argv
     assert not any(tmp_path.iterdir())
 
 
-# The search constants and the cost modes that matched `auto` or wrote a
-# space nothing reads are not settings.
+# The search and GA constants, the GA config file and the cost modes that
+# matched `auto` or wrote a space nothing reads are not settings.
 @pytest.mark.parametrize(
     "argv",
     [
@@ -311,8 +324,13 @@ def test_out_of_range_flags_are_input_errors(tmp_path, monkeypatch, capsys, argv
         GEN_SPACE + ["--costs", "exact"],
         GEN_SPACE + ["--costs", "nearest"],
         GEN_SPACE + ["--costs", "none"],
+        LEARN + ["--config", "f"],
+        LEARN + ["--crossover-rate", "0.5"],
+        LEARN + ["--mutation-rate", "0.5"],
+        LEARN + ["--elite-fraction", "0.2"],
     ],
-    ids=["tenure", "plateau", "costs-exact", "costs-nearest", "costs-none"],
+    ids=["tenure", "plateau", "costs-exact", "costs-nearest", "costs-none", "config",
+         "crossover-rate", "mutation-rate", "elite-fraction"],
 )
 def test_removed_settings_are_usage_errors(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

@@ -280,6 +280,14 @@ def test_load_space_rejects_with_file_and_line(tmp_path, row, message):
     assert message in str(info.value)
 
 
+@pytest.mark.parametrize("rows", ["", "\n\n"], ids=["header-only", "blank-lines"])
+def test_load_space_rejects_a_file_without_rows(tmp_path, rows):
+    path = tmp_path / "empty.txt"
+    path.write_text(HEADER + rows)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}:2: no rows after the header") + "$"):
+        load_space(path)
+
+
 
 # sha256 prefixes of `save_space` text at seeds 0 and 1, computed before the
 # samplers and the Hamming labeling were rewritten over shared helpers; any

@@ -262,6 +262,13 @@ def test_parse_ints_is_parse_int_word_by_word(text):
     assert _or_none(parse_ints, text) == expected
 
 
+def _spanning_rows(span, n):
+    """An all-different row and a row with one repeat, each holding 0 and
+    span - 1 in its first n values."""
+    distinct = [0, span - 1] + list(range(1, 11))
+    return [distinct, distinct[: n - 1] + [1] + distinct[n:]]
+
+
 @settings(deadline=None, derandomize=True, max_examples=400)
 @given(
     span=st.integers(2, 70),
@@ -273,9 +280,15 @@ def test_parse_ints_is_parse_int_word_by_word(text):
 @example(span=64, n=12, lo=-64, rows=[list(range(12)), list(range(11)) + [5]])
 @example(span=65, n=12, lo=0, rows=[list(range(12)), list(range(11)) + [64]])
 @example(span=5, n=6, lo=-3, rows=[list(range(12))] * 2)
+@example(span=8, n=8, lo=-3, rows=_spanning_rows(8, 8))
+@example(span=9, n=9, lo=-4, rows=_spanning_rows(9, 9))
+@example(span=16, n=12, lo=-8, rows=_spanning_rows(16, 12))
+@example(span=17, n=12, lo=-9, rows=_spanning_rows(17, 12))
+@example(span=32, n=12, lo=-16, rows=_spanning_rows(32, 12))
+@example(span=33, n=12, lo=-17, rows=_spanning_rows(33, 12))
 def test_alldiff_label_matches_the_oracle(span, n, lo, rows):
-    """Across the 64-bit value-mask cut-off: every span, negative domains,
-    and n > d, where no row can be all-different."""
+    """Across the value-mask cut-offs (8, 16, 32 and 64 values): every
+    span, negative domains, and n > d, where no row can be all-different."""
     c = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, n, lo, lo + span - 1)
     xs = lo + np.array(rows, dtype=np.int64)[:, :n] % span
     xs[0, :2] = c.lo, c.hi  # the rows take exactly the values [lo, hi]

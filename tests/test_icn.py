@@ -286,6 +286,21 @@ def test_saturation_flagged_and_capped():
     assert (out >= 0).all()
 
 
+def test_clamp_saturates_python_ints_beyond_int64():
+    # add + Sum past int64 sums in Python ints (object dtype) and clamps those.
+    C = icn.SATURATION_CEILING
+    values = np.array([2**70, -(2**70), 2**63, -(2**63) - 1, C + 1, -C - 1, C, -C, 5, 0], dtype=object)
+    out = icn._clamp(values)
+    assert out.dtype == np.int64
+    assert out.tolist() == [C, -C, C, -C, C, -C, C, -C, 5, 0]
+    # Sums past int64 either way, through the whole network.
+    ctx = EvalContext(n=2, d=2**62, p=0, lo=-(2**61))
+    plus = genome_from_names(["identity", "max_with_next", "min_with_next"], "add", "Sum", "identity")
+    rows = [[2**61 - 1, 2**61 - 1], [-(2**61), -(2**61)], [1, 2]]
+    expected = [straight_line_eval(genome_bits(plus.value), 2, ctx.d, 0, row, ceiling=C) for row in rows]
+    assert icn.network_outputs(plus, ctx, np.array(rows, dtype=np.int64)).tolist() == expected
+
+
 def test_genome_file_round_trip(tmp_path):
     c = ConstraintInstance(ConstraintKind.LINEAR_SUM, 4, 1, 5, p=12)
     f = ErrorFunction(linear_sum_reference_genome(), ctx_from_constraint(c))

@@ -19,6 +19,11 @@ from .spaces import EnumerationCapError, SamplingExhaustedError
 
 
 class _Parser(argparse.ArgumentParser):
+    # Only whole flag names are read: with argparse's default, any unique
+    # prefix of a flag would stand for it.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # Usage problems are input errors: exit 1, not argparse's default 2.
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -252,8 +252,13 @@ def linear_sum_reference_genome() -> Genome:
 _INT64_MAX = 2**63 - 1
 
 
+# numpy scalars: with Python-int bounds np.clip builds iinfo objects on
+# every call.
+_CLAMP_LOW, _CLAMP_HIGH = np.int64(-SATURATION_CEILING), np.int64(SATURATION_CEILING)
+
+
 def _clamp(values: np.ndarray) -> np.ndarray:
-    return np.clip(values, -SATURATION_CEILING, SATURATION_CEILING).astype(np.int64, copy=False)
+    return np.clip(values, _CLAMP_LOW, _CLAMP_HIGH).astype(np.int64, copy=False)
 
 
 def _peak(v: np.ndarray) -> int:

@@ -3,7 +3,10 @@
 A labeled space pairs assignments with their concept label and (once
 filled) a Hamming cost. Complete spaces enumerate every assignment;
 incomplete ones are sampled with Latin hypercube batches until a target
-number of solutions and non-solutions is reached.
+number of solutions and non-solutions is reached. Sampling orders each
+block of batches on one helper thread while the calling thread draws the
+next block and labels the last; the rows are identical to serial
+generation.
 """
 
 from __future__ import annotations
@@ -113,32 +116,63 @@ def _block_batches(c: ConstraintInstance) -> int:
     return max(1, _BLOCK_CELLS // (c.d * c.n))
 
 
-def _full_batch_block(c: ConstraintInstance, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count full batches of size d at once, from count * d * n uniforms.
-
-    Each column of a batch visits its d strata in the order of its d draws,
-    equal draws in row order: lo + the stable argsort of the draws along
-    the stratum axis.
+def _order_block(c: ConstraintInstance, u: np.ndarray) -> np.ndarray:
+    """The rows of the full batches drawn as u, a (count, d, n) array that
+    is overwritten: each column of a batch visits its d strata in the order
+    of its d draws, equal draws in row order, so a column is lo + the stable
+    argsort of its draws along the stratum axis.
     """
-    d, n = c.d, c.n
-    u = rng.random((count, d, n))
+    count, d, n = u.shape
     b = (d - 1).bit_length()
     if 53 + b > 64:
         order = u.argsort(axis=1, kind="stable")
     else:
         # A draw is k * 2^-53 with an integer k < 2^53, so u * 2^(53+b) is
         # exactly k << b, and (k << b) | row is a 64-bit key that sorts by
-        # draw, then by row; its low b bits are the argsort.
-        u *= 2.0 ** (53 + b)
-        keys = u.astype(np.uint64)
-        del u
+        # draw, then by row; its low b bits are the argsort. The keys
+        # overwrite the draws: a flat same-size cast needs no temporary.
+        flat = u.reshape(-1)
+        flat *= 2.0 ** (53 + b)
+        keys = flat.view(np.uint64)
+        keys[...] = flat
         planes = keys.reshape(count, d * n)  # one row-index pattern per batch
         planes |= np.repeat(np.arange(d, dtype=np.uint64), n)
+        keys = keys.reshape(count, d, n)
         keys.sort(axis=1)
         keys &= np.uint64((1 << b) - 1)
         order = keys.view(np.int64)
     order += c.lo
     return order.reshape(count * d, n)
+
+
+def _full_batch_block(c: ConstraintInstance, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count full batches of size d at once, from count * d * n uniforms."""
+    return _order_block(c, rng.random((count, c.d, c.n)))
+
+
+def _lhs_blocks(c: ConstraintInstance, rng: np.random.Generator, draw_budget: int, orderer):
+    """The LHS rows in blocks of full batches, in draw order, draw_budget
+    rows in all; orderer is a one-thread executor that orders each block.
+
+    This thread draws block k+1 while the helper orders block k, and the
+    helper orders block k+1 while the caller labels block k. Every draw is
+    made here in block order, so the rows are those of serial generation.
+    """
+    drawn = 0
+
+    def draw():
+        nonlocal drawn
+        block = min(_block_batches(c), max(1, -(-(draw_budget - drawn) // c.d)))
+        rows = min(block * c.d, draw_budget - drawn)
+        drawn += rows
+        return orderer.submit(_order_block, c, rng.random((block, c.d, c.n))), rows
+
+    ordering, rows = draw()
+    while drawn < draw_budget:
+        ahead, ahead_rows = draw()
+        yield ordering.result()[:rows]
+        ordering, rows = ahead, ahead_rows
+    yield ordering.result()[:rows]
 
 
 def _draw_classes(
@@ -153,32 +187,34 @@ def _draw_classes(
 
     Returns the kept rows and their labels: the earliest-drawn rows of each
     class, in draw order. Raises SamplingExhaustedError when the budget runs
-    out first.
+    out first. The block drawn after the last one labeled is never labeled.
     """
     if draw_budget < 1:
         raise ValueError(f"draw budget must be >= 1, got {draw_budget}")
+    # Imported here: only sampling needs it, and it adds ~5 ms to import efkit.
+    from concurrent.futures import ThreadPoolExecutor
+
     kept_rows: list[np.ndarray] = []
     kept_labels: list[np.ndarray] = []
     n_sol = n_non = 0
-    drawn = 0
-    while n_sol < need_sol or n_non < need_non:
-        if drawn >= draw_budget:
-            raise SamplingExhaustedError(
-                f"draw budget of {draw_budget} exhausted with {n_sol}/{need_sol} solutions "
-                f"and {n_non}/{need_non} non-solutions for {format_constraint_line(c)}; "
-                "the class rate may be too low for balanced sampling"
-            )
-        block = min(_block_batches(c), max(1, -(-(draw_budget - drawn) // c.d)))
-        xs = _full_batch_block(c, block, rng)[: draw_budget - drawn]
-        drawn += len(xs)
-        labels = concept_holds_batch(c, xs)
-        sol_rows = np.flatnonzero(labels)[: need_sol - n_sol]
-        non_rows = np.flatnonzero(~labels)[: need_non - n_non]
-        sel = np.sort(np.concatenate([sol_rows, non_rows]))
-        kept_rows.append(xs[sel])
-        kept_labels.append(labels[sel])
-        n_sol += len(sol_rows)
-        n_non += len(non_rows)
+    with ThreadPoolExecutor(max_workers=1) as orderer:
+        blocks = _lhs_blocks(c, rng, draw_budget, orderer)
+        while n_sol < need_sol or n_non < need_non:
+            xs = next(blocks, None)
+            if xs is None:
+                raise SamplingExhaustedError(
+                    f"draw budget of {draw_budget} exhausted with {n_sol}/{need_sol} solutions "
+                    f"and {n_non}/{need_non} non-solutions for {format_constraint_line(c)}; "
+                    "the class rate may be too low for balanced sampling"
+                )
+            labels = concept_holds_batch(c, xs)
+            sol_rows = np.flatnonzero(labels)[: need_sol - n_sol]
+            non_rows = np.flatnonzero(~labels)[: need_non - n_non]
+            sel = np.sort(np.concatenate([sol_rows, non_rows]))
+            kept_rows.append(xs[sel])
+            kept_labels.append(labels[sel])
+            n_sol += len(sol_rows)
+            n_non += len(non_rows)
     return np.concatenate(kept_rows, axis=0), np.concatenate(kept_labels, axis=0)
 
 

@@ -328,15 +328,20 @@ def test_out_of_range_flags_are_input_errors(tmp_path, monkeypatch, capsys, argv
         LEARN + ["--crossover-rate", "0.5"],
         LEARN + ["--mutation-rate", "0.5"],
         LEARN + ["--elite-fraction", "0.2"],
+        # A prefix of a flag is not that flag (--timeout, --population-size).
+        ["solve", "--variant", "handcrafted", "--time", "5", "--runs", "1"],
+        LEARN + ["--pop", "5"],
     ],
     ids=["tenure", "plateau", "costs-exact", "costs-nearest", "costs-none", "config",
-         "crossover-rate", "mutation-rate", "elite-fraction"],
+         "crossover-rate", "mutation-rate", "elite-fraction", "prefix-time", "prefix-pop"],
 )
-def test_removed_settings_are_usage_errors(tmp_path, monkeypatch, argv):
+def test_removed_settings_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)
     assert exc.value.code == 1
+    assert re.search(r"efkit( \S+)?: error: (unrecognized arguments|argument --costs: invalid choice)",
+                     capsys.readouterr().err)
     assert not any(tmp_path.iterdir())
 
 

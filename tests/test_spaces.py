@@ -1,5 +1,6 @@
 import hashlib
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from efkit import spaces
-from efkit.concepts import ConstraintInstance, ConstraintKind, concept_holds
+from efkit.concepts import ConstraintInstance, ConstraintKind, concept_holds, concept_holds_batch
 from efkit.spaces import (
     EnumerationCapError,
     SamplingExhaustedError,
@@ -201,6 +202,71 @@ def test_block_size_does_not_change_samples(monkeypatch):
     monkeypatch.setattr(spaces, "_BLOCK_CELLS", 1)  # one batch per block
     for a, b in zip(default, draws(), strict=True):
         assert np.array_equal(a, b)
+
+
+# Every assignment of this instance is a solution: sampling it exhausts any
+# budget, after labeling every row the budget allows.
+ALL_SOLUTIONS = ConstraintInstance(ConstraintKind.MINIMUM, 3, 2, 4, p=1)
+
+
+def test_sampling_leaves_no_thread_running():
+    before = threading.enumerate()
+    sample_balanced(ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 5, 1, 6), 50, rng_seed=3)
+    assert threading.enumerate() == before
+    with pytest.raises(SamplingExhaustedError):
+        sample_balanced(ALL_SOLUTIONS, 5, rng_seed=0, draw_budget=2000)
+    assert threading.enumerate() == before
+
+
+def test_an_ordering_error_propagates(monkeypatch):
+    calls = []
+
+    def fail_on_the_third_block(c, u):
+        calls.append(len(u))
+        if len(calls) == 3:
+            raise RuntimeError("ordering failed")
+        return order_block(c, u)
+
+    order_block = spaces._order_block
+    monkeypatch.setattr(spaces, "_order_block", fail_on_the_third_block)
+    monkeypatch.setattr(spaces, "_BLOCK_CELLS", 1)  # one batch per block
+    before = threading.enumerate()
+    with pytest.raises(RuntimeError, match="ordering failed"):
+        sample_balanced(ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 4, 1, 5), 40, rng_seed=2)
+    assert threading.enumerate() == before
+
+
+def _count_labeled_rows(monkeypatch, block_cells):
+    labeled = []
+
+    def counting(c, xs):
+        labeled.append(len(xs))
+        return concept_holds_batch(c, xs)
+
+    monkeypatch.setattr(spaces, "concept_holds_batch", counting)
+    monkeypatch.setattr(spaces, "_BLOCK_CELLS", block_cells)
+    return labeled
+
+
+@pytest.mark.parametrize("block_cells", [1, spaces._BLOCK_CELLS])
+@pytest.mark.parametrize("budget", [1, 4, 2000, 2001])
+def test_rows_labeled_never_exceed_the_draw_budget(monkeypatch, block_cells, budget):
+    labeled = _count_labeled_rows(monkeypatch, block_cells)
+    with pytest.raises(SamplingExhaustedError):
+        sample_balanced(ALL_SOLUTIONS, 5, rng_seed=0, draw_budget=budget)
+    assert sum(labeled) == budget
+
+
+@pytest.mark.parametrize("block_cells", [1, spaces._BLOCK_CELLS])
+def test_a_budget_of_the_rows_an_unbounded_run_labels_suffices(monkeypatch, block_cells):
+    labeled = _count_labeled_rows(monkeypatch, block_cells)
+    c = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 4, 1, 5)
+    unbounded = sample_balanced(c, 40, rng_seed=2)
+    needed = sum(labeled)
+    labeled.clear()
+    exact = sample_balanced(c, 40, rng_seed=2, draw_budget=needed)
+    assert sum(labeled) == needed
+    assert np.array_equal(exact.assignments, unbounded.assignments)
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)

@@ -3,7 +3,7 @@
 A constraint instance bundles a kind, a scope size n, an integer interval
 domain [lo, hi] and an integer parameter p. The concept predicate decides
 whether an assignment satisfies the constraint; per-kind closed forms give
-the exact Hamming cost where one is known.
+the exact Hamming cost of every kind.
 """
 
 from __future__ import annotations
@@ -41,6 +41,10 @@ _PARAMETRIC_KINDS = frozenset(
 
 # Bound on n * max(|lo|, |hi|, |p|): every row sum and p - sum then fits int64.
 _INT64_SAFE = 2**62
+
+# Row chunk for the NoOverlap1D cost DP: a row holds d presence cells and
+# (p + 1) * (n + 1) DP cells, at most about 4d since (n - 1) * p < d.
+_NO_OVERLAP_CHUNK_CELLS = 10**7
 
 
 def parse_kind(name: str) -> ConstraintKind:
@@ -163,12 +167,10 @@ def check_solvable(c: ConstraintInstance) -> None:
 
 
 def reference_costs_batch(c: ConstraintInstance, xs: np.ndarray) -> np.ndarray:
-    """Closed-form Hamming costs for a (m, n) matrix; instances without a
-    closed form are rejected (use the enumeration/sampling oracles instead),
-    then instances without a solution (see check_solvable)."""
+    """Closed-form Hamming costs for a (m, n) matrix; an instance without a
+    solution is a ValueError from check_solvable. NoOverlap1D also rejects a
+    value outside [lo, hi]."""
     xs = _rows(c, xs)
-    if not has_closed_form(c):
-        raise ValueError(f"no closed-form Hamming cost for {c.kind.value}")
     check_solvable(c)
     if c.kind is ConstraintKind.ALL_DIFFERENT:
         s = np.sort(xs, axis=1)
@@ -178,6 +180,8 @@ def reference_costs_batch(c: ConstraintInstance, xs: np.ndarray) -> np.ndarray:
         return (xs < c.p).sum(axis=1).astype(np.int64)
     if c.kind is ConstraintKind.ORDERED:
         return np.array([c.n - _longest_nondecreasing_run(row) for row in xs], dtype=np.int64)
+    if c.kind is ConstraintKind.NO_OVERLAP_1D:
+        return _no_overlap_costs(c, xs)
     # LinearSum, the one kind left: move the values with the most room toward p first.
     delta = c.p - xs.sum(axis=1)
     room = np.where(delta[:, None] > 0, c.hi - xs, xs - c.lo)
@@ -188,11 +192,36 @@ def reference_costs_batch(c: ConstraintInstance, xs: np.ndarray) -> np.ndarray:
     return np.where(need == 0, 0, counts).astype(np.int64)
 
 
-def has_closed_form(c: ConstraintInstance) -> bool:
-    """Whether reference_costs_batch knows c's exact Hamming cost: every kind
-    but NoOverlap1D. An instance without a solution counts as one:
-    reference_costs_batch says so through check_solvable, without a search."""
-    return c.kind is not ConstraintKind.NO_OVERLAP_1D
+def _no_overlap_costs(c: ConstraintInstance, xs: np.ndarray) -> np.ndarray:
+    """n minus the most distinct values of a row that n starts in [lo, hi],
+    pairwise at least p apart, can keep: each kept value stays at one of its
+    positions and the other starts fill the rest.
+
+    kept[pos][k] is the most row values that k starts in [lo, lo + pos] keep:
+    max(kept[pos - 1][k], kept[pos - p][k - 1] + [lo + pos in row]). Only the
+    last p positions' states are live, in a ring indexed by pos % p; a state
+    that k starts cannot reach starts at -(n + 1), so it stays negative."""
+    # A value outside the domain would index the presence mask from its end.
+    outside = xs[(xs < c.lo) | (xs > c.hi)]
+    if outside.size:
+        raise ValueError(f"value {outside[0]} outside domain [{c.lo}, {c.hi}]")
+    word = np.min_scalar_type(-(c.n + 1))
+    costs = np.empty(len(xs), dtype=np.int64)
+    chunk = max(1, _NO_OVERLAP_CHUNK_CELLS // (c.d + (c.p + 1) * (c.n + 1)))
+    for start in range(0, len(xs), chunk):
+        block = xs[start : start + chunk]
+        present = np.zeros((c.d, len(block)), dtype=bool)
+        present[block - c.lo, np.arange(len(block))[:, None]] = True
+        ring = np.full((c.p, c.n + 1, len(block)), -(c.n + 1), dtype=word)
+        ring[:, 0] = 0
+        step = np.empty((c.n, len(block)), dtype=word)
+        for pos in range(c.d):
+            # The slot of kept[pos - p] becomes kept[pos].
+            slot, before = ring[pos % c.p], ring[(pos - 1) % c.p]
+            np.add(slot[:-1], present[pos], out=step)
+            np.maximum(before[1:], step, out=slot[1:])
+        costs[start : start + chunk] = c.n - ring[(c.d - 1) % c.p][c.n]
+    return costs
 
 
 # Keys a constraint line must carry; p is optional and defaults to 0.

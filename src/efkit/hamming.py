@@ -137,15 +137,11 @@ def approx_hamming(x: Sequence[int], s: SolutionSet) -> int:
 
 
 def hamming_reference(c: ConstraintInstance, x: Sequence[int]) -> int:
-    """Exact Hamming cost of x: one-row concepts.reference_costs_batch when
-    concepts.has_closed_form(c), else the distance to every solution found
-    by enumeration. An instance without a solution is a ValueError from
-    concepts.check_solvable, before any search."""
+    """Exact Hamming cost of x: one-row concepts.reference_costs_batch. An
+    instance without a solution is a ValueError from concepts.check_solvable,
+    before any search."""
     c.check_assignment(x)
-    concepts.check_solvable(c)
-    if concepts.has_closed_form(c):
-        return int(concepts.reference_costs_batch(c, [x])[0])
-    return exact_hamming(x, exhaustive_solution_set(c))
+    return int(concepts.reference_costs_batch(c, [x])[0])
 
 
 def label_space_costs(space: LabeledSpace, s: SolutionSet) -> LabeledSpace:
@@ -171,10 +167,9 @@ def label_space_costs(space: LabeledSpace, s: SolutionSet) -> LabeledSpace:
 
 
 def label_space_costs_reference(space: LabeledSpace) -> LabeledSpace:
-    """Fill costs from the per-kind closed forms (exact at any scale).
-
-    Only defined for kinds with a trusted closed form; used to build large
-    test spaces whose exact costs are out of reach of enumeration.
+    """Fill costs from the per-kind closed forms (exact at any scale); used
+    to build large test spaces whose exact costs are out of reach of
+    enumeration.
     """
     costs = concepts.reference_costs_batch(space.constraint, space.assignments)
     return space.with_costs(costs)

@@ -92,6 +92,26 @@ def test_gen_space_rejects_bounds_past_int64_sums(tmp_path, capsys):
     assert not (tmp_path / "never.txt").exists()
 
 
+def test_gen_space_nooverlap_reference_costs(tmp_path):
+    """NoOverlap1D has a closed form: on a complete space it writes the file
+    that enumeration labelling writes, and it labels n=100 spaces."""
+    complete = ["--kind", "nooverlap", "--n", "3", "--lo", "1", "--hi", "6", "--p", "2", "--complete"]
+    for costs in ("reference", "auto"):
+        assert run_cli("gen-space", *complete, "--costs", costs, "--out", str(tmp_path / costs)) == 0
+    assert (tmp_path / "reference").read_bytes() == (tmp_path / "auto").read_bytes()
+
+    out = tmp_path / "n100.txt"
+    assert run_cli(
+        "gen-space", "--kind", "nooverlap", "--n", "100", "--lo", "1", "--hi", "1000",
+        "--p", "5", "--sampled", "--solutions", "direct", "--k", "20", "--costs", "reference",
+        "--seed", "7", "--out", str(out),
+    ) == 0
+    space = load_space(out)
+    assert space.solution_count == 20
+    assert (space.costs[space.labels] == 0).all()
+    assert (space.costs[~space.labels] >= 1).all()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

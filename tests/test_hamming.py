@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from efkit import hamming
-from efkit.concepts import ConstraintInstance, ConstraintKind, concept_holds
+from efkit import concepts, hamming
+from efkit.concepts import ConstraintInstance, ConstraintKind, concept_holds, reference_costs_batch
 from efkit.hamming import (
     SolutionSet,
     UnsatisfiableConstraintError,
@@ -18,6 +18,8 @@ from efkit.hamming import (
     solution_set_from_space,
 )
 from efkit.spaces import LabeledSpace, enumerate_complete, sample_balanced
+
+from oracles import brute_force_hamming
 
 ALLDIFF3 = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 3, 1, 3)
 
@@ -138,11 +140,56 @@ def test_reference_costs_agree_with_exact_on_complete_spaces():
         ConstraintInstance(ConstraintKind.LINEAR_SUM, 3, 1, 6, p=9),
         ConstraintInstance(ConstraintKind.MINIMUM, 3, 1, 6, p=4),
         ConstraintInstance(ConstraintKind.ORDERED, 4, 1, 4),
+        ConstraintInstance(ConstraintKind.NO_OVERLAP_1D, 3, 1, 6, p=2),
     ):
         space = enumerate_complete(c)
         by_scan = label_space_costs(space, exhaustive_solution_set(c))
         by_form = label_space_costs_reference(space)
         assert (by_scan.costs == by_form.costs).all()
+
+
+@st.composite
+def no_overlap_cases(draw):
+    """NoOverlap1D instances that fit, d from (n - 1) * p + 1 up to 8, with
+    rows over their domain."""
+    n = draw(st.integers(2, 5))
+    p = draw(st.integers(1, min(4, 7 // (n - 1))))
+    lo = draw(st.integers(-3, 3))
+    d = draw(st.integers((n - 1) * p + 1, 8))
+    row = st.lists(st.integers(lo, lo + d - 1), min_size=n, max_size=n)
+    return ConstraintInstance(ConstraintKind.NO_OVERLAP_1D, n, lo, lo + d - 1, p), draw(
+        st.lists(row, min_size=1, max_size=4)
+    )
+
+
+_NO_OVERLAP = ConstraintKind.NO_OVERLAP_1D
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(case=no_overlap_cases())
+@example((ConstraintInstance(_NO_OVERLAP, 3, -2, 4, p=3), [[-2, 1, 4], [4, 1, -2], [-1, 0, 3], [0, 0, 0]]))
+@example((ConstraintInstance(_NO_OVERLAP, 2, 3, 7, p=4), [[3, 7], [4, 6], [7, 7], [5, 3]]))
+@example((ConstraintInstance(_NO_OVERLAP, 5, 0, 4, p=1), [[0, 1, 2, 3, 4], [4, 4, 0, 0, 2]]))
+@example((ConstraintInstance(_NO_OVERLAP, 4, -3, 4, p=1), [[-3, -3, 4, 4], [1, 2, 1, 0], [0, 2, -1, 3]]))
+def test_no_overlap_closed_form_matches_brute_force(case):
+    """At p = 1 the starts only need to differ, so the costs are
+    AllDifferent's; a cell budget of 1 runs the DP one row at a time."""
+    c, rows = case
+    costs = reference_costs_batch(c, rows).tolist()
+    assert costs == [brute_force_hamming("nooverlap", c.p, c.lo, c.hi, x) for x in rows]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(concepts, "_NO_OVERLAP_CHUNK_CELLS", 1)
+        assert reference_costs_batch(c, rows).tolist() == costs
+    if c.p == 1:
+        alldiff = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, c.n, c.lo, c.hi)
+        assert reference_costs_batch(alldiff, rows).tolist() == costs
+
+
+def test_no_overlap_closed_form_rejects_a_value_outside_the_domain():
+    c = ConstraintInstance(_NO_OVERLAP, 3, 1, 6, p=2)
+    for bad in (0, 7, -5):
+        with pytest.raises(ValueError, match=f"value {bad} outside domain \\[1, 6\\]"):
+            reference_costs_batch(c, [[1, 3, 5], [2, bad, 4]])
 
 
 @st.composite

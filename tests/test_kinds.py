@@ -1,5 +1,5 @@
 """Facts about each constraint kind, checked where the library states them:
-the accepted spellings, which kinds have a closed-form Hamming cost, and
+the accepted spellings, that every kind has a closed-form Hamming cost, and
 which kinds sample_balanced_direct draws solutions for directly."""
 
 import numpy as np
@@ -9,7 +9,6 @@ from efkit.concepts import (
     ConstraintInstance,
     ConstraintKind,
     format_constraint_line,
-    has_closed_form,
     parse_kind,
     reference_costs_batch,
 )
@@ -44,24 +43,18 @@ def test_every_spelling_parses(kind):
             assert parse_kind(name) is kind
 
 
-def _closed_form_returns(c, xs) -> bool:
-    # Saying that an instance has no solution is a closed-form answer too.
-    try:
-        reference_costs_batch(c, xs)
-    except ValueError as exc:
-        if "has no solution" in str(exc):
-            return True
-        if "no closed-form" not in str(exc):
-            raise
-        return False
-    return True
-
-
 @pytest.mark.parametrize("kind", list(ConstraintKind), ids=lambda k: k.value)
-def test_has_closed_form_iff_reference_costs_return(kind):
+def test_every_kind_has_a_closed_form(kind):
+    """reference_costs_batch returns one cost per row, or says that the
+    instance has no solution, which is a closed-form answer too."""
     for c in INSTANCES[kind]:
         xs = np.array(list(all_assignments(c.n, c.lo, c.hi)), dtype=np.int64)
-        assert has_closed_form(c) == _closed_form_returns(c, xs), format_constraint_line(c)
+        try:
+            costs = reference_costs_batch(c, xs)
+        except ValueError as exc:
+            assert "has no solution" in str(exc), format_constraint_line(c)
+        else:
+            assert costs.shape == (len(xs),), format_constraint_line(c)
 
 
 @pytest.mark.parametrize("kind", list(ConstraintKind), ids=lambda k: k.value)

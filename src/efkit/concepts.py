@@ -43,7 +43,7 @@ _PARAMETRIC_KINDS = frozenset(
 _INT64_SAFE = 2**62
 
 # Row chunk for the NoOverlap1D cost DP: a row holds d presence cells and
-# (p + 1) * (n + 1) DP cells, at most about 4d since (n - 1) * p < d.
+# (p + 1) * (n + 1) DP cells, together at most about 4d since (n - 1) * p < d.
 _NO_OVERLAP_CHUNK_CELLS = 10**7
 
 

@@ -95,9 +95,11 @@ def test_gen_space_rejects_bounds_past_int64_sums(tmp_path, capsys):
 def test_gen_space_nooverlap_reference_costs(tmp_path):
     """NoOverlap1D has a closed form: on a complete space it writes the file
     that enumeration labelling writes, and it labels n=100 spaces."""
-    complete = ["--kind", "nooverlap", "--n", "3", "--lo", "1", "--hi", "6", "--p", "2", "--complete"]
     for costs in ("reference", "auto"):
-        assert run_cli("gen-space", *complete, "--costs", costs, "--out", str(tmp_path / costs)) == 0
+        assert run_cli(
+            "gen-space", "--kind", "nooverlap", "--n", "3", "--lo", "1", "--hi", "6", "--p", "2",
+            "--complete", "--costs", costs, "--out", str(tmp_path / costs),
+        ) == 0
     assert (tmp_path / "reference").read_bytes() == (tmp_path / "auto").read_bytes()
 
     out = tmp_path / "n100.txt"

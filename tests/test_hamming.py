@@ -148,6 +148,9 @@ def test_reference_costs_agree_with_exact_on_complete_spaces():
         assert (by_scan.costs == by_form.costs).all()
 
 
+_NO_OVERLAP = ConstraintKind.NO_OVERLAP_1D
+
+
 @st.composite
 def no_overlap_cases(draw):
     """NoOverlap1D instances that fit, d from (n - 1) * p + 1 up to 8, with
@@ -155,22 +158,21 @@ def no_overlap_cases(draw):
     n = draw(st.integers(2, 5))
     p = draw(st.integers(1, min(4, 7 // (n - 1))))
     lo = draw(st.integers(-3, 3))
-    d = draw(st.integers((n - 1) * p + 1, 8))
-    row = st.lists(st.integers(lo, lo + d - 1), min_size=n, max_size=n)
-    return ConstraintInstance(ConstraintKind.NO_OVERLAP_1D, n, lo, lo + d - 1, p), draw(
-        st.lists(row, min_size=1, max_size=4)
-    )
-
-
-_NO_OVERLAP = ConstraintKind.NO_OVERLAP_1D
+    hi = lo + draw(st.integers((n - 1) * p + 1, 8)) - 1
+    row = st.lists(st.integers(lo, hi), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    return ConstraintInstance(_NO_OVERLAP, n, lo, hi, p), rows
 
 
 @settings(deadline=None, derandomize=True, max_examples=100)
 @given(case=no_overlap_cases())
-@example((ConstraintInstance(_NO_OVERLAP, 3, -2, 4, p=3), [[-2, 1, 4], [4, 1, -2], [-1, 0, 3], [0, 0, 0]]))
+# The first three fit exactly, d = (n - 1) * p + 1: one set of starts, evenly spaced.
+@example((ConstraintInstance(_NO_OVERLAP, 3, -2, 4, p=3),
+          [[-2, 1, 4], [4, 1, -2], [-1, 0, 3], [0, 0, 0]]))
 @example((ConstraintInstance(_NO_OVERLAP, 2, 3, 7, p=4), [[3, 7], [4, 6], [7, 7], [5, 3]]))
 @example((ConstraintInstance(_NO_OVERLAP, 5, 0, 4, p=1), [[0, 1, 2, 3, 4], [4, 4, 0, 0, 2]]))
-@example((ConstraintInstance(_NO_OVERLAP, 4, -3, 4, p=1), [[-3, -3, 4, 4], [1, 2, 1, 0], [0, 2, -1, 3]]))
+@example((ConstraintInstance(_NO_OVERLAP, 4, -3, 4, p=1),
+          [[-3, -3, 4, 4], [1, 2, 1, 0], [0, 2, -1, 3]]))
 def test_no_overlap_closed_form_matches_brute_force(case):
     """At p = 1 the starts only need to differ, so the costs are
     AllDifferent's; a cell budget of 1 runs the DP one row at a time."""

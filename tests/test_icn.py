@@ -301,6 +301,31 @@ def test_clamp_saturates_python_ints_beyond_int64():
     assert icn.network_outputs(plus, ctx, np.array(rows, dtype=np.int64)).tolist() == expected
 
 
+PAIRWISE_RELATIONS = {
+    "count_eq_right": (lambda xj, xi: xj == xi, lambda j, i: j > i),
+    "count_eq_left": (lambda xj, xi: xj == xi, lambda j, i: j < i),
+    "count_eq_others": (lambda xj, xi: xj == xi, lambda j, i: j != i),
+    "count_lt_right": (lambda xj, xi: xj < xi, lambda j, i: j > i),
+    "count_gt_right": (lambda xj, xi: xj > xi, lambda j, i: j > i),
+    "count_lt_left": (lambda xj, xi: xj < xi, lambda j, i: j < i),
+    "count_gt_left": (lambda xj, xi: xj > xi, lambda j, i: j < i),
+}
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_pairwise_counts_around_the_uint8_cutoff(n):
+    # A count reaches n - 1, which fits 8 bits up to n = 256: one row with
+    # every value equal and one strictly increasing row reach it for each
+    # relation on one side or the other.
+    ctx = EvalContext(n=n, d=n, p=0, lo=1)
+    X = np.array([[7] * n, list(range(1, n + 1))], dtype=np.int64)
+    for name, (rel, side) in PAIRWISE_RELATIONS.items():
+        out = icn._TRANSFORMATIONS[name](X, ctx)
+        expected = [[sum(1 for j in range(n) if side(j, i) and rel(row[j], row[i])) for i in range(n)]
+                    for row in X.tolist()]
+        assert out.dtype == np.int64 and out.tolist() == expected, name
+
+
 def test_genome_file_round_trip(tmp_path):
     c = ConstraintInstance(ConstraintKind.LINEAR_SUM, 4, 1, 5, p=12)
     f = ErrorFunction(linear_sum_reference_genome(), ctx_from_constraint(c))
@@ -459,12 +484,26 @@ WRAPPING_ADDITION = (
     (EvalContext(n=2, d=2**61, p=0, lo=0), [[2**61 - 1, 2**61 - 1], [2**61 - 1, 0]]),
 )
 
+# Count>0 bounds y by n, but a comparison against p = 2^40 or d = 2^32
+# leaves the output past the saturation ceiling, so it must still clamp.
+COUNT_PAST_CEILING = [
+    (genome_from_names(["count_eq_right"], "add", "Count>0", comparison),
+     (EvalContext(n=3, d=d, p=p, lo=1), [[1, 2, 3], [2, 2, 2]]))
+    for comparison, d, p in (
+        ("AbsDiff_p", 3, 2**40), ("Shortfall_p", 3, 2**40), ("Euclid_p", 3, 2**40), ("AbsDiff_d", 2**32, 0),
+    )
+]
+
 
 @settings(PROPERTY, max_examples=250)
 @given(genome=valid_genomes, case=contexts_and_rows())
 @example(*SATURATING_MIXED)
 @example(*SATURATING_NEGATIVE)
 @example(*WRAPPING_ADDITION)
+@example(*COUNT_PAST_CEILING[0])
+@example(*COUNT_PAST_CEILING[1])
+@example(*COUNT_PAST_CEILING[2])
+@example(*COUNT_PAST_CEILING[3])
 def test_evaluate_matches_straight_line_reimplementation(genome, case):
     """Valid genomes vs the naive loop oracle, which saturates as the
     network does."""
@@ -501,6 +540,14 @@ def every_path(*transformations):
             for a in icn.ARITHMETIC_NAMES for g in icn.AGGREGATION_NAMES]
 
 
+def count_comparisons(*comparisons):
+    """Count>0 genomes ending in the given comparisons, on the mask path
+    (one transformation) and, where the space holds negative values, on the
+    general forward pass (identity plus a count)."""
+    return [genome_from_names(t, "add", "Count>0", c)
+            for c in comparisons for t in (["count_eq_right"], ["identity", "count_eq_right"])]
+
+
 @settings(PROPERTY, max_examples=200)
 @given(case=spaces_and_genomes())
 @example((  # eq_p never fires on [1, 5] with p = 0: identically zero
@@ -520,6 +567,14 @@ def every_path(*transformations):
     every_path("identity", "max_with_next", "min_with_next", "gap_above_p") + every_path("identity"),
 ))
 @example((space_of(3, -2, 2, 0, [], []), every_path("identity", "lt_p") + every_path("count_eq_others")))
+@example((  # Count>0 outputs past the saturation ceiling: p = 2^40, then d = 2^32
+    space_of(3, -2, 5, 2**40, [[1, 2, 3], [2, 2, 2], [5, -2, 5]], [0, 1, 2**31 - 1]),
+    count_comparisons("AbsDiff_p", "Shortfall_p", "Euclid_p"),
+))
+@example((
+    space_of(3, -5, 2**32 - 6, 0, [[1, 2, 3], [2, 2, 2], [2**32 - 6, -5, 2**32 - 6]], [0, 1, 2**31 - 1]),
+    count_comparisons("AbsDiff_d"),
+))
 def test_space_evaluator_deviation_matches_network_outputs(case):
     space, genomes = case
     evaluator = SpaceEvaluator(space)

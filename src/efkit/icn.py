@@ -42,6 +42,10 @@ SATURATION_CEILING = 2**31 - 1
 # matrix cells (rows * n * n) to bound peak memory.
 _PAIR_CHUNK_CELLS = 2 * 10**7
 
+# A pairwise count is at most n - 1, so up to this scope size it fits in
+# uint8 and the counts reduce as a uint8 product with a ones vector.
+_UINT8_COUNT_MAX_N = 256
+
 
 @dataclass(frozen=True)
 class EvalContext:
@@ -139,8 +143,18 @@ def _pair_mask(n: int, side: str) -> np.ndarray:
     return ~np.eye(n, dtype=bool)  # j != i
 
 
+@functools.lru_cache(maxsize=64)
+def _uint8_ones(n: int) -> np.ndarray:
+    return np.ones(n, dtype=np.uint8)
+
+
 def _pairwise_block(block: np.ndarray, rel: Callable, mask: np.ndarray) -> np.ndarray:
-    return (rel(block[:, None, :], block[:, :, None]) & mask).sum(axis=2)
+    hits = rel(block[:, None, :], block[:, :, None])
+    hits &= mask
+    n = block.shape[1]
+    if n <= _UINT8_COUNT_MAX_N:
+        return (hits.view(np.uint8) @ _uint8_ones(n)).astype(np.int64)
+    return hits.sum(axis=2)
 
 
 def _pairwise_count(X: np.ndarray, rel: Callable, side: str) -> np.ndarray:
@@ -266,8 +280,14 @@ def _peak(v: np.ndarray) -> int:
     return max(int(v.max()), -int(v.min())) if v.size else 0
 
 
-def _compare(comp: int, ctx: EvalContext, y: np.ndarray) -> np.ndarray:
-    return _clamp(_COMPARISON_FNS[comp](y, ctx))
+def _compare(comp: int, ctx: EvalContext, y: np.ndarray, peak: int) -> np.ndarray:
+    """The comparison layer on a y with |y| <= peak. Every output then has
+    |out| <= peak + max(|p|, |n|, |d|), or at most 2 from a ceiling division
+    by d < 0, so the clamp runs only when that bound passes the ceiling."""
+    out = _COMPARISON_FNS[comp](y, ctx)
+    if peak + max(abs(ctx.p), abs(ctx.n), abs(ctx.d)) <= SATURATION_CEILING:
+        return out
+    return _clamp(out)
 
 
 def _forward(
@@ -287,10 +307,8 @@ def _forward(
         for v in vectors[1:]:
             combined = _clamp(combined * _clamp(v))
     if agg == 0:
-        y = _clamp(combined.sum(axis=1))
-    else:
-        y = (combined > 0).sum(axis=1)  # bounded by the scope size
-    return _compare(comp, ctx, y)
+        return _compare(comp, ctx, _clamp(combined.sum(axis=1)), SATURATION_CEILING)
+    return _compare(comp, ctx, (combined > 0).sum(axis=1), combined.shape[1])
 
 
 def _valid_layers(genome: Genome) -> Layers:
@@ -300,9 +318,13 @@ def _valid_layers(genome: Genome) -> Layers:
 
 
 def network_outputs(genome: Genome, ctx: EvalContext, X: np.ndarray) -> np.ndarray:
-    """Feed a (m, n) matrix through the four layers; returns (m,) int64 >= 0."""
+    """Feed a (m, n) integer matrix through the four layers; returns (m,)
+    int64 >= 0. Values of any other dtype are a ValueError, not truncated."""
     t_idx, arith, agg, comp = _valid_layers(genome)
-    X = np.asarray(X, dtype=np.int64)
+    X = np.asarray(X)
+    if X.dtype.kind not in "iu":
+        raise ValueError(f"expected integer values, got dtype {X.dtype}")
+    X = X.astype(np.int64, copy=False)
     if X.ndim != 2 or X.shape[1] != ctx.n:
         raise ValueError(f"expected shape (m, {ctx.n}), got {X.shape}")
     vectors = [_TRANSFORMATION_FNS[t](X, ctx) for t in t_idx]
@@ -323,8 +345,7 @@ class ErrorFunction:
     def evaluate(self, x: Sequence[int]) -> int:
         if len(x) != self.ctx.n:
             raise ValueError(f"expected {self.ctx.n} values, got {len(x)}")
-        X = np.asarray(x, dtype=np.int64)[None, :]
-        return int(self.evaluate_batch(X)[0])
+        return int(self.evaluate_batch(np.asarray(x)[None, :])[0])
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
         return network_outputs(self.genome, self.ctx, X)
@@ -419,7 +440,8 @@ class SpaceEvaluator:
         if y is None:
             out = _forward(arith, agg, comp, self.ctx, [self.tables[t].T for t in t_idx])
         else:
-            out = _compare(comp, self.ctx, y)
+            peak = self.tables.shape[1] if agg == 1 else SATURATION_CEILING
+            out = _compare(comp, self.ctx, y, peak)
         return int(np.abs(out - self.costs).sum())
 
     def loss(self, genome: Genome) -> float:

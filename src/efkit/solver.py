@@ -233,6 +233,7 @@ def solve(model: Model, timeout_ms: int, rng_seed: int) -> SolveOutcome:
 
     while True:
         assignment = [rng.randint(lo, hi) for lo, hi in domains]
+        current = np.array(assignment, dtype=np.int64)  # the assignment, for stacking rows
         errors = []
         for con in constraints:
             row = np.array([[assignment[v] for v in con.scope]], dtype=np.int64)
@@ -295,7 +296,6 @@ def solve(model: Model, timeout_ms: int, rng_seed: int) -> SolveOutcome:
                 scored.append(ci)
                 new_errors.append([base + step[table[b - offset]] for b in values])
             if batch_plans[var]:
-                current = np.fromiter(assignment, dtype=np.int64, count=nvars)
                 value_column = np.array(values, dtype=np.int64)[:, None, None]
                 for error_batch, members, member_scopes, at_var in batch_plans[var]:
                     rows = np.where(at_var, value_column, current[member_scopes])
@@ -311,7 +311,7 @@ def solve(model: Model, timeout_ms: int, rng_seed: int) -> SolveOutcome:
             pick = choices[0] if len(choices) == 1 else rng.choice(choices)
 
             new = values[pick]
-            assignment[var] = new
+            assignment[var] = current[var] = new
             for ci in count_plans[var]:
                 counts[ci][old - offsets[ci]] -= 1
                 counts[ci][new - offsets[ci]] += 1

@@ -99,6 +99,21 @@ def test_evaluate_arity_mismatch():
         f.evaluate([1, 2, 3])
 
 
+def test_non_integer_values_are_rejected_not_truncated():
+    # Cast to int64, [1.7, 1.2, 3] would be scored as [1, 1, 3]: error 1.
+    f = ErrorFunction(alldifferent_reference_genome(), EvalContext(3, 3, 0, 1))
+    with pytest.raises(ValueError, match="got dtype float64"):
+        f.evaluate([1.7, 1.2, 3])
+    with pytest.raises(ValueError, match="got dtype float64"):
+        f.evaluate_batch(np.array([[1.0, 2.0, 3.0]]))
+    with pytest.raises(ValueError, match="got dtype object"):
+        f.evaluate([1, 2, 2**70])
+    with pytest.raises(ValueError, match="got dtype bool"):
+        f.evaluate_batch(np.ones((2, 3), dtype=bool))
+    for dtype in (np.int8, np.int32, np.uint16, np.int64):
+        assert f.evaluate_batch(np.array([[1, 2, 2], [1, 2, 3]], dtype=dtype)).tolist() == [1, 0]
+
+
 def test_invalid_genome_rejected():
     with pytest.raises(ValueError):
         ErrorFunction(Genome(0), ALLDIFF_CTX)

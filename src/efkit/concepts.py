@@ -1,9 +1,11 @@
 """Constraint kinds, instances and their concept predicates.
 
 A constraint instance bundles a kind, a scope size n, an integer interval
-domain [lo, hi] and an integer parameter p. The concept predicate decides
-whether an assignment satisfies the constraint; per-kind closed forms give
-the exact Hamming cost of every kind.
+domain [lo, hi] and an integer parameter p. concept_holds_batch decides
+which rows of an assignment matrix satisfy the constraint, and
+reference_costs_batch gives each row's exact Hamming cost from a per-kind
+closed form. The strict key=value and integer readers of the file formats
+live here too.
 """
 
 from __future__ import annotations
@@ -54,6 +56,15 @@ def parse_kind(name: str) -> ConstraintKind:
         raise ValueError(f"unknown constraint kind {name!r}") from None
 
 
+def check_int64_safe(n: int, lo: int, hi: int, p: int) -> None:
+    """Raise a ValueError unless n * max(|lo|, |hi|, |p|) < 2^62, so that
+    every row sum and p - sum of n values in [lo, hi] fits int64."""
+    if n * max(abs(lo), abs(hi), abs(p)) >= _INT64_SAFE:
+        raise ValueError(
+            "n * max(|lo|, |hi|, |p|) must be below 2^62, so that row sums fit 64 bits"
+        )
+
+
 @dataclass(frozen=True)
 class ConstraintInstance:
     """One constraint over n integer variables sharing the domain [lo, hi]."""
@@ -75,22 +86,12 @@ class ConstraintInstance:
             raise ValueError(f"{self.kind.value} takes no parameter; p must be 0")
         if self.kind is ConstraintKind.NO_OVERLAP_1D and self.p < 1:
             raise ValueError("nooverlap task length p must be >= 1")
-        if self.n * max(abs(self.lo), abs(self.hi), abs(self.p)) >= _INT64_SAFE:
-            raise ValueError(
-                "n * max(|lo|, |hi|, |p|) must be below 2^62, so that row sums fit 64 bits"
-            )
+        check_int64_safe(self.n, self.lo, self.hi, self.p)
 
     @property
     def d(self) -> int:
         """Domain size."""
         return self.hi - self.lo + 1
-
-    def check_assignment(self, x: Sequence[int]) -> None:
-        if len(x) != self.n:
-            raise ValueError(f"expected {self.n} values, got {len(x)}")
-        for v in x:
-            if not self.lo <= v <= self.hi:
-                raise ValueError(f"value {v} outside domain [{self.lo}, {self.hi}]")
 
 
 def _rows(c: ConstraintInstance, xs) -> np.ndarray:
@@ -98,13 +99,6 @@ def _rows(c: ConstraintInstance, xs) -> np.ndarray:
     if xs.ndim != 2 or xs.shape[1] != c.n:
         raise ValueError(f"expected shape (m, {c.n}), got {xs.shape}")
     return xs
-
-
-def concept_holds(c: ConstraintInstance, x: Sequence[int]) -> bool:
-    """True iff the assignment x satisfies the constraint c (one-row
-    concept_holds_batch)."""
-    c.check_assignment(x)
-    return bool(concept_holds_batch(c, [x])[0])
 
 
 def concept_holds_batch(c: ConstraintInstance, xs: np.ndarray) -> np.ndarray:
@@ -283,11 +277,6 @@ def constraint_from_fields(fields: dict[str, str]) -> ConstraintInstance:
     except ValueError as exc:
         raise ValueError(f"bad integer in constraint line: {exc}") from None
     return ConstraintInstance(kind=kind, n=n, lo=lo, hi=hi, p=p)
-
-
-def parse_constraint_line(line: str) -> ConstraintInstance:
-    """Parse a `kind=<name> n=<int> lo=<int> hi=<int> p=<int>` description."""
-    return constraint_from_fields(parse_fields(line, "constraint", CONSTRAINT_KEYS, ("p",)))
 
 
 def format_constraint_line(c: ConstraintInstance) -> str:

@@ -1,14 +1,15 @@
-"""Hamming cost computation against exhaustive or sampled solution sets.
+"""Hamming cost labeling against exhaustive or sampled solution sets.
 
 The cost of an assignment is its minimum coordinate-wise disagreement with
 any known solution: exact when the solution set is exhaustive, an upper
-bound when it only holds a sample.
+bound when it only holds a sample. nearest_distances computes it for a
+matrix of assignments, and label_space_costs fills a space's costs with it;
+label_space_costs_reference takes them from concepts' closed forms instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -115,35 +116,6 @@ def _nearest_by_scan(queries: np.ndarray, solutions: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_solutions(s: SolutionSet) -> None:
-    if len(s) == 0:
-        raise UnsatisfiableConstraintError(
-            f"{concepts.format_constraint_line(s.constraint)} has no solution in the set"
-        )
-
-
-def exact_hamming(x: Sequence[int], s: SolutionSet) -> int:
-    """Minimum number of coordinates to reassign to reach a solution."""
-    if not s.exhaustive:
-        raise ValueError("exact Hamming needs an exhaustive solution set")
-    return approx_hamming(x, s)
-
-
-def approx_hamming(x: Sequence[int], s: SolutionSet) -> int:
-    """Distance to the closest sampled solution; an upper bound on the
-    exact cost, and 0 whenever x itself is in the sample."""
-    _require_solutions(s)
-    return int(nearest_distances(np.asarray([x], dtype=np.int64), s.solutions)[0])
-
-
-def hamming_reference(c: ConstraintInstance, x: Sequence[int]) -> int:
-    """Exact Hamming cost of x: one-row concepts.reference_costs_batch. An
-    instance without a solution is a ValueError from concepts.check_solvable,
-    before any search."""
-    c.check_assignment(x)
-    return int(concepts.reference_costs_batch(c, [x])[0])
-
-
 def label_space_costs(space: LabeledSpace, s: SolutionSet) -> LabeledSpace:
     """Fill every entry cost from the solution set; solutions cost 0.
 
@@ -158,7 +130,10 @@ def label_space_costs(space: LabeledSpace, s: SolutionSet) -> LabeledSpace:
         )
     if len(space) == 0:
         return space.with_costs(np.zeros(0, dtype=np.int64))
-    _require_solutions(s)
+    if len(s) == 0:
+        raise UnsatisfiableConstraintError(
+            f"{concepts.format_constraint_line(s.constraint)} has no solution in the set"
+        )
     costs = np.zeros(len(space), dtype=np.int64)
     non = ~space.labels
     if non.any():

@@ -25,7 +25,14 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .concepts import ConstraintInstance, ConstraintKind, parse_fields, parse_int, parse_kind
+from .concepts import (
+    ConstraintInstance,
+    ConstraintKind,
+    check_int64_safe,
+    parse_fields,
+    parse_int,
+    parse_kind,
+)
 from .spaces import LabeledSpace
 
 GENOME_LENGTH = 31
@@ -319,11 +326,14 @@ def _valid_layers(genome: Genome) -> Layers:
 
 def network_outputs(genome: Genome, ctx: EvalContext, X: np.ndarray) -> np.ndarray:
     """Feed a (m, n) integer matrix through the four layers; returns (m,)
-    int64 >= 0. Values of any other dtype are a ValueError, not truncated."""
+    int64 >= 0. Values of any other dtype are a ValueError, not truncated,
+    and so is a uint64 value past the int64 range, not wrapped."""
     t_idx, arith, agg, comp = _valid_layers(genome)
     X = np.asarray(X)
     if X.dtype.kind not in "iu":
         raise ValueError(f"expected integer values, got dtype {X.dtype}")
+    if X.dtype == np.uint64 and X.size and int(X.max()) > _INT64_MAX:
+        raise ValueError(f"value {int(X.max())} does not fit int64")
     X = X.astype(np.int64, copy=False)
     if X.ndim != 2 or X.shape[1] != ctx.n:
         raise ValueError(f"expected shape (m, {ctx.n}), got {X.shape}")
@@ -341,11 +351,6 @@ class ErrorFunction:
     def __post_init__(self):
         if not validate(self.genome):
             raise ValueError("error function requires a valid genome")
-
-    def evaluate(self, x: Sequence[int]) -> int:
-        if len(x) != self.ctx.n:
-            raise ValueError(f"expected {self.ctx.n} values, got {len(x)}")
-        return int(self.evaluate_batch(np.asarray(x)[None, :])[0])
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
         return network_outputs(self.genome, self.ctx, X)
@@ -495,8 +500,10 @@ def load_genome(path) -> ErrorFunction:
     other than the magic line, a missing bit or ctx line, a bit line that
     is not 31 0/1 characters or breaks the layer rules, and a ctx line with
     a token that is not key=value, an unknown or repeated key, an unknown
-    kind, a missing or non-integer n, d, p or lo, or n or d below 1, and a
-    later line that is neither blank nor a `#` comment."""
+    kind, a missing or non-integer n, d, p or lo, n or d below 1, or
+    n * max(|lo|, |lo + d - 1|, |p|) at 2^62 or more, the bound of
+    concepts.check_int64_safe, and a later line that is neither blank nor a
+    `#` comment."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != _GENOME_MAGIC:
         raise ValueError(f"{path}:1: first line must be {_GENOME_MAGIC!r}")
@@ -527,6 +534,12 @@ def load_genome(path) -> ErrorFunction:
             ) from None
     if numbers["n"] < 1 or numbers["d"] < 1:
         raise ValueError(f"{path}:3: ctx n and d must be at least 1")
+    try:
+        check_int64_safe(
+            numbers["n"], numbers["lo"], numbers["lo"] + numbers["d"] - 1, numbers["p"]
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}:3: ctx {exc}, where hi = lo + d - 1") from None
     for number, line in enumerate(lines[3:], start=4):
         if line.strip() and not line.lstrip().startswith("#"):
             raise ValueError(

@@ -36,13 +36,9 @@ def _all_distinct(x: Sequence[int]) -> bool:
     return len(set(x)) == len(x)
 
 
-def _has_duplicate(x: Sequence[int]) -> int:
-    # The predicate variant's error: the 0/1 violation indicator.
-    return int(not _all_distinct(x))
-
-
 def _has_duplicate_batch(X: np.ndarray) -> np.ndarray:
-    """_has_duplicate of each row: any equal neighbours after a row sort."""
+    """The predicate variant's error, the 0/1 violation indicator of each
+    row: any equal neighbours after a row sort."""
     ordered = np.sort(X, axis=1)
     return (ordered[:, 1:] == ordered[:, :-1]).any(axis=1).astype(np.int64)
 
@@ -53,16 +49,20 @@ class Constraint:
 
     The error is a non-negative integer, 0 exactly when the predicate is
     intended to hold; for a predicate-only constraint it is the 0/1
-    violation indicator. It is given in exactly one of two forms:
+    violation indicator. It is given in exactly one of three forms, and the
+    other two attributes are derived from it:
 
-    - error, a function of the scope's values, with an optional
-      error_batch that maps a (rows, len(scope)) int64 candidate matrix to
-      one error per row; left out, it applies error row by row.
+    - error, a function of the scope's values; error_batch applies it row
+      by row.
+    - error_batch, a function mapping a (rows, len(scope)) int64 candidate
+      matrix to one error per row; error is its one-row call.
     - count_terms, a table of len(scope) + 1 entries with count_terms[0]
       == 0: the error is a sum over values of a term depending only on how
       many scope variables hold the value, count_terms[c] for a value held
-      c times. error and a row-by-row error_batch are derived from it, and
-      the solver scores a move from value counts.
+      c times. error sums the terms and error_batch applies it row by row,
+      and the solver scores a move from value counts.
+
+    The solver calls only error_batch; error is for one-off checks.
     """
 
     scope: tuple[int, ...]
@@ -75,20 +75,24 @@ class Constraint:
         where = f"constraint on scope {tuple(self.scope)}"
         if len(set(self.scope)) != len(self.scope):
             raise ValueError(f"scope {tuple(self.scope)} names a variable more than once")
+        forms = [f for f in ("error", "error_batch", "count_terms") if getattr(self, f) is not None]
+        if len(forms) > 1:
+            raise ValueError(f"{where} gives {' and '.join(forms)}; give exactly one error form")
+        if not forms:
+            raise ValueError(f"{where} has no error function")
         if self.count_terms is not None:
-            if self.error is not None or self.error_batch is not None:
-                raise ValueError(f"{where} gives both count_terms and an error function")
             if len(self.count_terms) != len(self.scope) + 1 or self.count_terms[0] != 0:
                 raise ValueError(
                     f"{where}: count_terms needs {len(self.scope) + 1} entries, the first 0"
                 )
             terms = self.count_terms
             self.error = lambda x: sum(terms[c] for c in Counter(x).values())
-        if self.error is None:
-            raise ValueError(f"{where} has no error function")
         if self.error_batch is None:
             error = self.error
             self.error_batch = lambda X: np.array([error(r) for r in X.tolist()], dtype=np.int64)
+        elif self.error is None:
+            error_batch = self.error_batch
+            self.error = lambda x: int(error_batch(np.asarray([x]))[0])
 
 
 @dataclass
@@ -144,9 +148,9 @@ def build_sudoku(
 
     # The two count-based errors are their terms per value count: a value
     # held c times adds c(c-1)/2 equal pairs, or c-1 duplicate positions.
-    error = error_batch = count_terms = None
+    error_batch = count_terms = None
     if variant == "predicate":
-        error, error_batch = _has_duplicate, _has_duplicate_batch
+        error_batch = _has_duplicate_batch
     elif variant == "handcrafted":
         count_terms = tuple(c * (c - 1) // 2 for c in range(n + 1))
     else:
@@ -161,13 +165,11 @@ def build_sudoku(
         if variant == "icn_hardcoded":
             count_terms = tuple(max(c - 1, 0) for c in range(n + 1))
         else:
-            ef = ErrorFunction(genome, EvalContext(n=n, d=n, p=0, lo=1))
-            error, error_batch = ef.evaluate, ef.evaluate_batch
+            error_batch = ErrorFunction(genome, EvalContext(n=n, d=n, p=0, lo=1)).evaluate_batch
     cons = [
         Constraint(
             scope=s,
             predicate=_all_distinct,
-            error=error,
             error_batch=error_batch,
             count_terms=count_terms,
         )

@@ -219,19 +219,34 @@ def test_learn_reproducible(tmp_path, alldiff_space):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
-def test_eval_reproduces_training_deviation(tmp_path, alldiff_space, capsys):
+@pytest.mark.parametrize(
+    "kind, n, lo, hi, p",
+    [
+        ("alldiff", 4, 1, 5, 0),
+        ("minimum", 4, 1, 6, 3),
+        ("linearsum", 4, 1, 6, 14),
+        ("ordered", 4, 1, 5, 0),
+        ("nooverlap", 3, 1, 7, 2),
+    ],
+    ids=["alldiff", "minimum", "linearsum", "ordered", "nooverlap"],
+)
+def test_eval_reproduces_training_deviation(tmp_path, capsys, kind, n, lo, hi, p):
+    space = tmp_path / f"{kind}.space.txt"
+    assert run_cli(
+        "gen-space", "--kind", kind, "--n", str(n), "--lo", str(lo), "--hi", str(hi),
+        "--p", str(p), "--complete", "--out", str(space),
+    ) == 0
     out_dir = tmp_path / "runs"
-    run_cli(*learn_args(alldiff_space, out_dir, runs=1))
+    assert run_cli(*learn_args(space, out_dir, runs=1)) == 0
     capsys.readouterr()
     metrics = json.loads((out_dir / "run000.metrics.json").read_text())
 
-    assert run_cli(
-        "eval", "--genome", str(out_dir / "run000.genome.txt"),
-        "--space", str(alldiff_space),
-    ) == 0
+    assert run_cli("eval", "--genome", str(out_dir / "run000.genome.txt"), "--space", str(space)) == 0
     printed = capsys.readouterr().out.strip().splitlines()
     reported = float(printed[0].split("\t")[1])
-    assert reported == pytest.approx(metrics["best_deviation"] / (625 * 4))
+    # eval prints six significant digits.
+    rows = (hi - lo + 1) ** n
+    assert reported == pytest.approx(metrics["best_deviation"] / (rows * n), rel=1e-5)
 
 
 def test_eval_directory_and_kind_mismatch(tmp_path, alldiff_space, capsys):

@@ -4,14 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from efkit import concepts, hamming
-from efkit.concepts import ConstraintInstance, ConstraintKind, concept_holds, reference_costs_batch
+from efkit.concepts import ConstraintInstance, ConstraintKind, reference_costs_batch
 from efkit.hamming import (
     SolutionSet,
     UnsatisfiableConstraintError,
-    approx_hamming,
-    exact_hamming,
     exhaustive_solution_set,
-    hamming_reference,
     label_space_costs,
     label_space_costs_reference,
     nearest_distances,
@@ -27,28 +24,16 @@ ALLDIFF3 = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 3, 1, 3)
 def test_exact_hamming_examples():
     sols = exhaustive_solution_set(ALLDIFF3)
     assert len(sols) == 6 and sols.exhaustive
-    assert exact_hamming([1, 2, 3], sols) == 0
-    assert exact_hamming([1, 1, 2], sols) == 1
-    assert exact_hamming([2, 2, 2], sols) == 2
-
-
-def test_exact_hamming_requires_exhaustive_and_nonempty():
-    sample = SolutionSet(ALLDIFF3, np.array([[1, 2, 3]]), exhaustive=False)
-    with pytest.raises(ValueError):
-        exact_hamming([1, 2, 3], sample)
-    unsat = ConstraintInstance(ConstraintKind.MINIMUM, 3, 1, 4, p=9)
-    with pytest.raises(UnsatisfiableConstraintError):
-        exact_hamming([1, 2, 3], exhaustive_solution_set(unsat))
+    assert nearest_distances([[1, 2, 3], [1, 1, 2], [2, 2, 2]], sols.solutions).tolist() == [0, 1, 2]
 
 
 def test_approx_hamming_bounds_exact():
-    full = exhaustive_solution_set(ALLDIFF3)
-    sample = SolutionSet(ALLDIFF3, np.array([[1, 2, 3]]), exhaustive=False)
-    assert approx_hamming([1, 2, 3], sample) == 0
-    assert approx_hamming([3, 2, 1], sample) == 2
-    assert exact_hamming([3, 2, 1], full) == 0
-    for x in ([1, 1, 1], [2, 1, 3], [3, 3, 1]):
-        assert approx_hamming(x, sample) >= exact_hamming(x, full)
+    full = exhaustive_solution_set(ALLDIFF3).solutions
+    sample = np.array([[1, 2, 3]])
+    assert nearest_distances([[1, 2, 3], [3, 2, 1]], sample).tolist() == [0, 2]
+    assert nearest_distances([[3, 2, 1]], full).tolist() == [0]
+    xs = [[1, 1, 1], [2, 1, 3], [3, 3, 1]]
+    assert (nearest_distances(xs, sample) >= nearest_distances(xs, full)).all()
 
 
 def test_adding_solutions_never_increases_approx():
@@ -56,14 +41,12 @@ def test_adding_solutions_never_increases_approx():
     rng = np.random.default_rng(4)
     order = rng.permutation(len(full))
     queries = [[1, 1, 2], [2, 2, 2], [3, 1, 1], [1, 3, 2]]
-    for x in queries:
-        previous = None
-        for k in range(1, len(full) + 1):
-            subset = SolutionSet(ALLDIFF3, full[order[:k]], exhaustive=False)
-            dist = approx_hamming(x, subset)
-            if previous is not None:
-                assert dist <= previous
-            previous = dist
+    previous = None
+    for k in range(1, len(full) + 1):
+        dist = nearest_distances(queries, full[order[:k]])
+        if previous is not None:
+            assert (dist <= previous).all()
+        previous = dist
 
 
 def test_exact_matches_reference_closed_forms_exhaustively():
@@ -76,11 +59,9 @@ def test_exact_matches_reference_closed_forms_exhaustively():
     ]
     for c in instances:
         space = enumerate_complete(c)
-        sols = exhaustive_solution_set(c)
-        for x, label in zip(space.assignments.tolist(), space.labels):
-            exact = exact_hamming(list(x), sols)
-            assert exact == hamming_reference(c, list(x))
-            assert (exact == 0) == label
+        exact = nearest_distances(space.assignments, exhaustive_solution_set(c).solutions)
+        assert exact.tolist() == reference_costs_batch(c, space.assignments).tolist()
+        assert ((exact == 0) == space.labels).all()
 
 
 def test_label_space_costs_complete():
@@ -103,7 +84,7 @@ def test_label_space_costs_incomplete_uses_sampled_solutions():
             assert cost == 0
         else:
             assert cost >= 1
-            assert cost == approx_hamming(list(x), sols)
+            assert cost == min(sum(a != b for a, b in zip(x, s)) for s in sols.solutions.tolist())
 
 
 def test_label_space_costs_flag_mismatch():

@@ -81,37 +81,43 @@ def test_repair_keeps_one_uniformly():
 
 def test_evaluate_alldiff_reference():
     f = ErrorFunction(alldifferent_reference_genome(), ALLDIFF_CTX)
-    assert f.evaluate([1, 1, 2, 3]) == 1
-    assert f.evaluate([1, 2, 3, 4]) == 0
-    assert f.evaluate([2, 2, 2, 2]) == 3
+    X = np.array([[1, 1, 2, 3], [1, 2, 3, 4], [2, 2, 2, 2]])
+    assert f.evaluate_batch(X).tolist() == [1, 0, 3]
 
 
 def test_evaluate_linearsum_reference():
     ctx = EvalContext(n=3, d=3, p=6, lo=1)
     f = ErrorFunction(linear_sum_reference_genome(), ctx)
-    assert f.evaluate([1, 2, 3]) == 0
-    assert f.evaluate([3, 3, 3]) == 1
+    assert f.evaluate_batch(np.array([[1, 2, 3], [3, 3, 3]])).tolist() == [0, 1]
 
 
 def test_evaluate_arity_mismatch():
     f = ErrorFunction(alldifferent_reference_genome(), ALLDIFF_CTX)
-    with pytest.raises(ValueError):
-        f.evaluate([1, 2, 3])
+    for X in (np.array([[1, 2, 3]]), np.array([1, 2, 3, 4]), np.ones((1, 1, 4), dtype=np.int64)):
+        with pytest.raises(ValueError, match=re.escape("expected shape (m, 4)")):
+            f.evaluate_batch(X)
 
 
 def test_non_integer_values_are_rejected_not_truncated():
     # Cast to int64, [1.7, 1.2, 3] would be scored as [1, 1, 3]: error 1.
     f = ErrorFunction(alldifferent_reference_genome(), EvalContext(3, 3, 0, 1))
     with pytest.raises(ValueError, match="got dtype float64"):
-        f.evaluate([1.7, 1.2, 3])
+        f.evaluate_batch(np.array([[1.7, 1.2, 3]]))
     with pytest.raises(ValueError, match="got dtype float64"):
         f.evaluate_batch(np.array([[1.0, 2.0, 3.0]]))
     with pytest.raises(ValueError, match="got dtype object"):
-        f.evaluate([1, 2, 2**70])
+        f.evaluate_batch(np.array([[1, 2, 2**70]]))
     with pytest.raises(ValueError, match="got dtype bool"):
         f.evaluate_batch(np.ones((2, 3), dtype=bool))
-    for dtype in (np.int8, np.int32, np.uint16, np.int64):
+    for dtype in (np.int8, np.int32, np.uint16, np.int64, np.uint64):
         assert f.evaluate_batch(np.array([[1, 2, 2], [1, 2, 3]], dtype=dtype)).tolist() == [1, 0]
+    # Cast to int64, 2^63 wraps to -2^63, which Count>0( identity ) does
+    # not count: [[2^63, 1]] would score 1, not 2.
+    count = ErrorFunction(genome_from_names(["identity"], "add", "Count>0", "identity"), EvalContext(2, 3, 0, 1))
+    assert count.evaluate_batch(np.array([[2**62, 1], [2**63 - 1, 1]], dtype=np.uint64)).tolist() == [2, 2]
+    for big in (2**63, 2**64 - 1):
+        with pytest.raises(ValueError, match=f"value {big} does not fit int64"):
+            count.evaluate_batch(np.array([[1, 1], [big, 1]], dtype=np.uint64))
 
 
 def test_invalid_genome_rejected():
@@ -133,9 +139,10 @@ def test_evaluate_batch_matches_scalar():
     )
     f = ErrorFunction(genome, ctx)
     X = np.array([[rng.randint(0, 5) for _ in range(5)] for _ in range(40)])
-    batch = f.evaluate_batch(X)
-    for row, value in zip(X, batch):
-        assert f.evaluate(list(row)) == int(value)
+    bits = genome_bits(genome.value)
+    expected = [straight_line_eval(bits, 5, 6, 2, row, ceiling=CEILING) for row in X.tolist()]
+    assert f.evaluate_batch(X).tolist() == expected
+    assert [f.evaluate_batch(X[i : i + 1]).tolist()[0] for i in range(len(X))] == expected
 
 
 def test_describe_reference_forms():
@@ -370,6 +377,12 @@ def test_genome_file_rejects_malformed(tmp_path):
         ("icn-genome v1\n0101\nctx n=4 d=5 p=0 lo=1\n", 2, "bit line must be 31 0/1 characters"),
         (f"icn-genome v1\n{'0' * 31}\nn=4 d=5\n", 2, "breaks the layer rules"),
         (f"icn-genome v1\n{GOOD_BITS}\nn=4 d=5\n", 3, "ctx line must start with `ctx `"),
+        # y - p would wrap int64 inside the network, or overflow the cast.
+        (f"icn-genome v1\n{EXCESS_BITS}\nctx n=3 d=4 p=-9223372036854775807 lo=1 kind=alldiff\n",
+         3, "ctx n * max(|lo|, |hi|, |p|) must be below 2^62"),
+        (f"icn-genome v1\n{EXCESS_BITS}\nctx n=3 d=4 p=100000000000000000000000 lo=1 kind=alldiff\n",
+         3, "ctx n * max(|lo|, |hi|, |p|) must be below 2^62"),
+        (f"icn-genome v1\n{EXCESS_BITS}\nctx n=2 d={2**61 + 1} p=0 lo=0\n", 3, "where hi = lo + d - 1"),
     ]:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{line}: ')}.*{re.escape(message)}"):
@@ -377,6 +390,7 @@ def test_genome_file_rejects_malformed(tmp_path):
 
 
 GOOD_BITS = "0100000000000000001001100000000"  # Count>0( count_eq_right )
+EXCESS_BITS = "1000000000000000001001000001000"  # Excess_p( Count>0( identity ) )
 
 
 def test_genome_file_rejects_lines_after_ctx_that_are_not_comments(tmp_path):
@@ -527,7 +541,7 @@ def test_evaluate_matches_straight_line_reimplementation(genome, case):
     bits = genome_bits(genome.value)
     expected = [straight_line_eval(bits, ctx.n, ctx.d, ctx.p, row, ceiling=CEILING) for row in rows]
     assert out.tolist() == expected
-    assert ErrorFunction(genome, ctx).evaluate(rows[0]) == expected[0]
+    assert ErrorFunction(genome, ctx).evaluate_batch(np.array(rows[:1], dtype=np.int64)).tolist() == expected[:1]
 
 
 def space_of(n, lo, hi, p, rows, costs):

@@ -12,7 +12,6 @@ from efkit.solver import (
     Constraint,
     Model,
     _all_distinct,
-    _has_duplicate,
     _has_duplicate_batch,
     benchmark_sudoku,
     build_sudoku,
@@ -30,6 +29,11 @@ def test_alldiff_primal_violation():
     assert error([1, 1, 1]) == 3
     assert error([1, 1, 2, 2]) == 2
     assert error([5, 5, 5, 5]) == 6
+
+
+def _has_duplicate(x):
+    """The 0/1 violation indicator, from the duplicate-position oracle."""
+    return int(duplicate_positions(x) > 0)
 
 
 @pytest.mark.parametrize("width", [9, 16])
@@ -117,11 +121,18 @@ def test_constraint_requires_an_error_function():
 
 
 def test_constraint_takes_one_error_form():
-    # count_terms is the whole definition; a second one could disagree.
+    # Each form is the whole definition; a second one could disagree, and
+    # the solver would read only one of them.
     terms = (0, 0, 1)
-    for extra in [{"error": equal_pairs}, {"error_batch": lambda X: X[:, 0] * 0}]:
-        with pytest.raises(ValueError, match=r"scope \(0, 1\) gives both count_terms and an error"):
-            Constraint(scope=(0, 1), predicate=lambda v: True, count_terms=terms, **extra)
+    batch = _has_duplicate_batch
+    for forms, named in [
+        ({"error": equal_pairs, "count_terms": terms}, "error and count_terms"),
+        ({"error_batch": batch, "count_terms": terms}, "error_batch and count_terms"),
+        ({"error": equal_pairs, "error_batch": batch}, "error and error_batch"),
+        ({"error": equal_pairs, "error_batch": batch, "count_terms": terms}, "error and error_batch and count_terms"),
+    ]:
+        with pytest.raises(ValueError, match=rf"scope \(0, 1\) gives {named}; give exactly one error form"):
+            Constraint(scope=(0, 1), predicate=lambda v: True, **forms)
 
 
 def test_solve_trivial_model_is_immediate():

@@ -49,8 +49,8 @@ class Constraint:
 
     The error is a non-negative integer, 0 exactly when the predicate is
     intended to hold; for a predicate-only constraint it is the 0/1
-    violation indicator. It is given in exactly one of three forms, and the
-    other two attributes are derived from it:
+    violation indicator. It is given in exactly one of three forms, and
+    whichever of error and error_batch is missing is derived from it:
 
     - error, a function of the scope's values; error_batch applies it row
       by row.

@@ -140,7 +140,7 @@ def test_evaluate_batch_matches_scalar():
     f = ErrorFunction(genome, ctx)
     X = np.array([[rng.randint(0, 5) for _ in range(5)] for _ in range(40)])
     bits = genome_bits(genome.value)
-    expected = [straight_line_eval(bits, 5, 6, 2, row, ceiling=CEILING) for row in X.tolist()]
+    expected = [straight_line_eval(bits, ctx.n, ctx.d, ctx.p, row, ceiling=CEILING) for row in X.tolist()]
     assert f.evaluate_batch(X).tolist() == expected
     assert [f.evaluate_batch(X[i : i + 1]).tolist()[0] for i in range(len(X))] == expected
 

@@ -49,11 +49,11 @@ def cmd_gen_space(args) -> int:
     c = _constraint_from_args(args)
     concepts.check_solvable(c)  # every space's costs need a solution
     if args.complete:
-        space = spaces.enumerate_complete(c, cap=args.cap)
+        space = spaces.enumerate_complete(c)
     elif args.solutions == "direct":
-        space = spaces.sample_balanced_direct(c, args.k, args.seed, draw_budget=args.budget)
+        space = spaces.sample_balanced_direct(c, args.k, args.seed)
     else:
-        space = spaces.sample_balanced(c, args.k, args.seed, draw_budget=args.budget)
+        space = spaces.sample_balanced(c, args.k, args.seed)
     if args.costs == "reference":
         space = hamming.label_space_costs_reference(space)
     else:
@@ -242,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         "or direct per-kind samplers (test sets whose solution rate defeats rejection)",
     )
     p.add_argument("--seed", type=integer, default=0)
-    p.add_argument("--cap", type=integer, default=spaces.DEFAULT_ENUMERATION_CAP)
-    p.add_argument("--budget", type=integer, default=spaces.DEFAULT_DRAW_BUDGET)
     p.add_argument(
         "--costs",
         choices=["auto", "reference"],

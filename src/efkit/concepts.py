@@ -4,8 +4,8 @@ A constraint instance bundles a kind, a scope size n, an integer interval
 domain [lo, hi] and an integer parameter p. concept_holds_batch decides
 which rows of an assignment matrix satisfy the constraint, and
 reference_costs_batch gives each row's exact Hamming cost from a per-kind
-closed form. The strict key=value and integer readers of the file formats
-live here too.
+closed form; both reject a value outside [lo, hi]. The strict key=value
+and integer readers of the file formats live here too.
 """
 
 from __future__ import annotations
@@ -94,22 +94,31 @@ class ConstraintInstance:
         return self.hi - self.lo + 1
 
 
-def _rows(c: ConstraintInstance, xs) -> np.ndarray:
+def _rows(c: ConstraintInstance, xs) -> tuple[np.ndarray, int, int]:
+    """xs as an int64 (m, n) matrix with its least and greatest value; a
+    value outside [lo, hi] is a ValueError."""
     xs = np.asarray(xs, dtype=np.int64)
     if xs.ndim != 2 or xs.shape[1] != c.n:
         raise ValueError(f"expected shape (m, {c.n}), got {xs.shape}")
-    return xs
+    if not xs.size:
+        return xs, c.lo, c.lo
+    low, high = int(xs.min()), int(xs.max())
+    if low < c.lo or high > c.hi:
+        outside = xs[(xs < c.lo) | (xs > c.hi)]
+        raise ValueError(f"value {outside[0]} outside domain [{c.lo}, {c.hi}]")
+    return xs, low, high
 
 
 def concept_holds_batch(c: ConstraintInstance, xs: np.ndarray) -> np.ndarray:
-    """Vectorized concept predicate over a (m, n) assignment matrix.
+    """Vectorized concept predicate over a (m, n) assignment matrix of
+    values in [lo, hi].
 
     AllDifferent uses one value mask per row while the values of xs span at
     most 64 integers, in the narrowest unsigned word that holds the span
     (8, 16, 32 or 64 bits), and a row sort otherwise."""
-    xs = _rows(c, xs)
+    xs, low, high = _rows(c, xs)
     if c.kind is ConstraintKind.ALL_DIFFERENT:
-        if xs.size and (span := int(xs.max()) - (low := int(xs.min()))) < 64:
+        if (span := high - low) < 64:
             # One bit per value: n distinct values set n bits. Or-ing column
             # by column is faster than np.bitwise_or.reduce along the rows.
             word = np.min_scalar_type(1 << span)
@@ -161,10 +170,9 @@ def check_solvable(c: ConstraintInstance) -> None:
 
 
 def reference_costs_batch(c: ConstraintInstance, xs: np.ndarray) -> np.ndarray:
-    """Closed-form Hamming costs for a (m, n) matrix; an instance without a
-    solution is a ValueError from check_solvable. NoOverlap1D also rejects a
-    value outside [lo, hi]."""
-    xs = _rows(c, xs)
+    """Closed-form Hamming costs for a (m, n) matrix of values in [lo, hi];
+    an instance without a solution is a ValueError from check_solvable."""
+    xs = _rows(c, xs)[0]
     check_solvable(c)
     if c.kind is ConstraintKind.ALL_DIFFERENT:
         s = np.sort(xs, axis=1)
@@ -194,11 +202,9 @@ def _no_overlap_costs(c: ConstraintInstance, xs: np.ndarray) -> np.ndarray:
     kept[pos][k] is the most row values that k starts in [lo, lo + pos] keep:
     max(kept[pos - 1][k], kept[pos - p][k - 1] + [lo + pos in row]). Only the
     last p positions' states are live, in a ring indexed by pos % p; a state
-    that k starts cannot reach starts at -(n + 1), so it stays negative."""
-    # A value outside the domain would index the presence mask from its end.
-    outside = xs[(xs < c.lo) | (xs > c.hi)]
-    if outside.size:
-        raise ValueError(f"value {outside[0]} outside domain [{c.lo}, {c.hi}]")
+    that k starts cannot reach starts at -(n + 1), so it stays negative.
+    _rows has checked the domain: a value outside it would index the
+    presence mask from its end."""
     word = np.min_scalar_type(-(c.n + 1))
     costs = np.empty(len(xs), dtype=np.int64)
     chunk = max(1, _NO_OVERLAP_CHUNK_CELLS // (c.d + (c.p + 1) * (c.n + 1)))

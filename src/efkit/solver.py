@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import icn
+from .concepts import ConstraintInstance, ConstraintKind, concept_holds_batch
 from .icn import ErrorFunction, EvalContext, Genome
 from .util import derive_seeds, map_jobs
 
@@ -36,50 +37,40 @@ def _all_distinct(x: Sequence[int]) -> bool:
     return len(set(x)) == len(x)
 
 
-def _has_duplicate_batch(X: np.ndarray) -> np.ndarray:
-    """The predicate variant's error, the 0/1 violation indicator of each
-    row: any equal neighbours after a row sort."""
-    ordered = np.sort(X, axis=1)
-    return (ordered[:, 1:] == ordered[:, :-1]).any(axis=1).astype(np.int64)
-
-
 @dataclass
 class Constraint:
     """A scoped constraint with a guidance error and a ground-truth predicate.
 
     The error is a non-negative integer, 0 exactly when the predicate is
     intended to hold; for a predicate-only constraint it is the 0/1
-    violation indicator. It is given in exactly one of three forms, and
-    whichever of error and error_batch is missing is derived from it:
+    violation indicator. It is given in exactly one of two forms:
 
-    - error, a function of the scope's values; error_batch applies it row
-      by row.
     - error_batch, a function mapping a (rows, len(scope)) int64 candidate
-      matrix to one error per row; error is its one-row call.
+      matrix to one error per row; the solver scores moves with it.
     - count_terms, a table of len(scope) + 1 entries with count_terms[0]
       == 0: the error is a sum over values of a term depending only on how
       many scope variables hold the value, count_terms[c] for a value held
-      c times. error sums the terms and error_batch applies it row by row,
-      and the solver scores a move from value counts.
+      c times; the solver scores moves from value counts.
 
-    The solver calls only error_batch; error is for one-off checks.
+    error, the error of one tuple of the scope's values, is derived: the
+    one-row call of error_batch, or the sum of the count terms. The solver
+    reads it once per constraint at each (re)start.
     """
 
     scope: tuple[int, ...]
     predicate: Callable[[Sequence[int]], bool]
-    error: Optional[Callable[[Sequence[int]], int]] = None
     error_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     count_terms: Optional[tuple[int, ...]] = None
+    error: Callable[[Sequence[int]], int] = field(init=False)
 
     def __post_init__(self):
         where = f"constraint on scope {tuple(self.scope)}"
         if len(set(self.scope)) != len(self.scope):
             raise ValueError(f"scope {tuple(self.scope)} names a variable more than once")
-        forms = [f for f in ("error", "error_batch", "count_terms") if getattr(self, f) is not None]
-        if len(forms) > 1:
-            raise ValueError(f"{where} gives {' and '.join(forms)}; give exactly one error form")
-        if not forms:
-            raise ValueError(f"{where} has no error function")
+        if self.error_batch is not None and self.count_terms is not None:
+            raise ValueError(
+                f"{where} gives error_batch and count_terms; give exactly one error form"
+            )
         if self.count_terms is not None:
             if len(self.count_terms) != len(self.scope) + 1 or self.count_terms[0] != 0:
                 raise ValueError(
@@ -87,12 +78,11 @@ class Constraint:
                 )
             terms = self.count_terms
             self.error = lambda x: sum(terms[c] for c in Counter(x).values())
-        if self.error_batch is None:
-            error = self.error
-            self.error_batch = lambda X: np.array([error(r) for r in X.tolist()], dtype=np.int64)
-        elif self.error is None:
+        elif self.error_batch is not None:
             error_batch = self.error_batch
-            self.error = lambda x: int(error_batch(np.asarray([x]))[0])
+            self.error = lambda x: int(error_batch(np.array([x], dtype=np.int64))[0])
+        else:
+            raise ValueError(f"{where} has no error function")
 
 
 @dataclass
@@ -150,7 +140,10 @@ def build_sudoku(
     # held c times adds c(c-1)/2 equal pairs, or c-1 duplicate positions.
     error_batch = count_terms = None
     if variant == "predicate":
-        error_batch = _has_duplicate_batch
+        concept = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, n, 1, n)
+
+        def error_batch(X):
+            return 1 - concept_holds_batch(concept, X)
     elif variant == "handcrafted":
         count_terms = tuple(c * (c - 1) // 2 for c in range(n + 1))
     else:
@@ -236,10 +229,7 @@ def solve(model: Model, timeout_ms: int, rng_seed: int) -> SolveOutcome:
     while True:
         assignment = [rng.randint(lo, hi) for lo, hi in domains]
         current = np.array(assignment, dtype=np.int64)  # the assignment, for stacking rows
-        errors = []
-        for con in constraints:
-            row = np.array([[assignment[v] for v in con.scope]], dtype=np.int64)
-            errors.append(con.error_batch(row).tolist()[0])
+        errors = [con.error([assignment[v] for v in con.scope]) for con in constraints]
         penalties = [
             sum(errors[ci] for ci in cons_of[v]) if is_movable[v] else -1 for v in range(nvars)
         ]

@@ -7,6 +7,9 @@ number of solutions and non-solutions is reached. Sampling orders each
 block of batches on one helper thread while the calling thread draws the
 next block and labels the last; the rows are identical to serial
 generation.
+
+ENUMERATION_CAP and DRAW_BUDGET are fixed limits, not settings: one pair
+serves every space the paper builds.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from .concepts import (
     parse_ints,
 )
 
-DEFAULT_ENUMERATION_CAP = 10**7
-DEFAULT_DRAW_BUDGET = 10**8
+ENUMERATION_CAP = 10**7  # assignments a complete space may hold
+DRAW_BUDGET = 10**8  # LHS rows a sampled space may label
 
 # Full batches are generated in blocks of up to this many cells (4096
 # batches at d = n = 10); values are identical to one-batch-at-a-time
@@ -40,11 +43,11 @@ _BLOCK_CELLS = 4096 * 10 * 10
 
 
 class EnumerationCapError(Exception):
-    """Complete enumeration would exceed the configured cap."""
+    """Complete enumeration would exceed ENUMERATION_CAP."""
 
 
 class SamplingExhaustedError(Exception):
-    """The draw budget ran out before both class quotas were met."""
+    """DRAW_BUDGET ran out before both class quotas were met."""
 
 
 class NoDirectSamplerError(ValueError):
@@ -90,16 +93,12 @@ class LabeledSpace:
         return LabeledSpace(self.constraint, self.assignments, self.labels, costs, self.complete)
 
 
-def enumerate_complete(
-    c: ConstraintInstance, cap: int = DEFAULT_ENUMERATION_CAP
-) -> LabeledSpace:
+def enumerate_complete(c: ConstraintInstance) -> LabeledSpace:
     """All d^n assignments in lexicographic order, labeled, costs unset."""
-    if cap < 1:
-        raise ValueError(f"enumeration cap must be >= 1, got {cap}")
     size = c.d**c.n
-    if size > cap:
+    if size > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"complete space holds {size} assignments, above the cap of {cap}"
+            f"complete space holds {size} assignments, above the cap of {ENUMERATION_CAP}"
         )
     # Column j cycles with period d^(n-1-j); lexicographic by construction.
     idx = np.arange(size)
@@ -176,21 +175,15 @@ def _lhs_blocks(c: ConstraintInstance, rng: np.random.Generator, draw_budget: in
 
 
 def _draw_classes(
-    c: ConstraintInstance,
-    need_sol: int,
-    need_non: int,
-    rng: np.random.Generator,
-    draw_budget: int,
+    c: ConstraintInstance, need_sol: int, need_non: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw LHS blocks until need_sol solutions and need_non non-solutions
-    are collected, never labeling more than draw_budget rows.
+    are collected, never labeling more than DRAW_BUDGET rows.
 
     Returns the kept rows and their labels: the earliest-drawn rows of each
     class, in draw order. Raises SamplingExhaustedError when the budget runs
     out first. The block drawn after the last one labeled is never labeled.
     """
-    if draw_budget < 1:
-        raise ValueError(f"draw budget must be >= 1, got {draw_budget}")
     # Imported here: only sampling needs it, and it adds ~5 ms to import efkit.
     from concurrent.futures import ThreadPoolExecutor
 
@@ -198,12 +191,12 @@ def _draw_classes(
     kept_labels: list[np.ndarray] = []
     n_sol = n_non = 0
     with ThreadPoolExecutor(max_workers=1) as orderer:
-        blocks = _lhs_blocks(c, rng, draw_budget, orderer)
+        blocks = _lhs_blocks(c, rng, DRAW_BUDGET, orderer)
         while n_sol < need_sol or n_non < need_non:
             xs = next(blocks, None)
             if xs is None:
                 raise SamplingExhaustedError(
-                    f"draw budget of {draw_budget} exhausted with {n_sol}/{need_sol} solutions "
+                    f"draw budget of {DRAW_BUDGET} exhausted with {n_sol}/{need_sol} solutions "
                     f"and {n_non}/{need_non} non-solutions for {format_constraint_line(c)}; "
                     "the class rate may be too low for balanced sampling"
                 )
@@ -218,12 +211,7 @@ def _draw_classes(
     return np.concatenate(kept_rows, axis=0), np.concatenate(kept_labels, axis=0)
 
 
-def sample_balanced(
-    c: ConstraintInstance,
-    k: int,
-    rng_seed: int,
-    draw_budget: int = DEFAULT_DRAW_BUDGET,
-) -> LabeledSpace:
+def sample_balanced(c: ConstraintInstance, k: int, rng_seed: int) -> LabeledSpace:
     """Draw LHS batches until k solutions and k non-solutions are collected.
 
     The earliest-drawn k entries of each class are kept, in draw order.
@@ -232,7 +220,7 @@ def sample_balanced(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    xs, labels = _draw_classes(c, k, k, np.random.default_rng(rng_seed), draw_budget)
+    xs, labels = _draw_classes(c, k, k, np.random.default_rng(rng_seed))
     return LabeledSpace(c, xs, labels, None, complete=False)
 
 
@@ -278,17 +266,12 @@ def sample_solutions(c: ConstraintInstance, count: int, rng_seed: int) -> np.nda
     return out
 
 
-def sample_balanced_direct(
-    c: ConstraintInstance,
-    k: int,
-    rng_seed: int,
-    draw_budget: int = DEFAULT_DRAW_BUDGET,
-) -> LabeledSpace:
+def sample_balanced_direct(c: ConstraintInstance, k: int, rng_seed: int) -> LabeledSpace:
     """k directly-sampled solutions followed by k LHS-drawn non-solutions.
 
     The test-set builder for constraints out of rejection's reach; falls
     back to rejection for the solution class when no direct sampler exists.
-    The budget caps the LHS rows drawn, as in sample_balanced.
+    DRAW_BUDGET caps the LHS rows drawn, as in sample_balanced.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -297,7 +280,7 @@ def sample_balanced_direct(
     except NoDirectSamplerError:
         sols = None
     rng = np.random.default_rng(rng_seed + 1)
-    xs, labels = _draw_classes(c, k if sols is None else 0, k, rng, draw_budget)
+    xs, labels = _draw_classes(c, k if sols is None else 0, k, rng)
     if sols is None:
         sols = xs[labels]
     xs = np.concatenate([sols, xs[~labels]], axis=0)

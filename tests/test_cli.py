@@ -63,16 +63,16 @@ def test_gen_space_sampled_and_direct(tmp_path):
     assert (space.costs[~space.labels] >= 1).all()
 
 
-def test_gen_space_resource_errors(tmp_path):
+def test_gen_space_resource_errors(tmp_path, monkeypatch):
     code = run_cli(
         "gen-space", "--kind", "alldiff", "--n", "12", "--lo", "1", "--hi", "12",
         "--complete", "--out", str(tmp_path / "never.txt"),
     )
     assert code == 2  # enumeration cap
+    monkeypatch.setattr(spaces, "DRAW_BUDGET", 500)
     code = run_cli(
         "gen-space", "--kind", "minimum", "--n", "3", "--lo", "2", "--hi", "4",
-        "--p", "1", "--sampled", "--k", "5", "--budget", "500",
-        "--out", str(tmp_path / "never2.txt"),
+        "--p", "1", "--sampled", "--k", "5", "--out", str(tmp_path / "never2.txt"),
     )
     assert code == 2  # sampling exhausted
     code = run_cli(
@@ -338,11 +338,8 @@ SAMPLED = ["gen-space", "--kind", "alldiff", "--n", "3", "--lo", "1", "--hi", "4
     [
         (SOLVE + ["--runs", "1", "--jobs", "0"], "jobs must be >= 1, got 0"),
         (SOLVE + ["--runs", "2", "--jobs", "-2"], "jobs must be >= 1, got -2"),
-        (SAMPLED + ["--budget", "0"], "draw budget must be >= 1, got 0"),
-        (SAMPLED + ["--solutions", "direct", "--budget", "-1"], "draw budget must be >= 1, got -1"),
-        (GEN_SPACE + ["--cap", "0"], "enumeration cap must be >= 1, got 0"),
     ],
-    ids=["solve-jobs-zero", "solve-jobs-negative", "budget-zero", "direct-budget-negative", "cap-zero"],
+    ids=["solve-jobs-zero", "solve-jobs-negative"],
 )
 def test_out_of_range_flags_are_input_errors(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -351,8 +348,9 @@ def test_out_of_range_flags_are_input_errors(tmp_path, monkeypatch, capsys, argv
     assert not any(tmp_path.iterdir())
 
 
-# The search and GA constants, the GA config file and the cost modes that
-# matched `auto` or wrote a space nothing reads are not settings.
+# The search and GA constants, the space-build limits, the GA config file
+# and the cost modes that matched `auto` or wrote a space nothing reads are
+# not settings.
 @pytest.mark.parametrize(
     "argv",
     [
@@ -361,6 +359,9 @@ def test_out_of_range_flags_are_input_errors(tmp_path, monkeypatch, capsys, argv
         GEN_SPACE + ["--costs", "exact"],
         GEN_SPACE + ["--costs", "nearest"],
         GEN_SPACE + ["--costs", "none"],
+        SAMPLED + ["--budget", "0"],
+        SAMPLED + ["--solutions", "direct", "--budget", "-1"],
+        GEN_SPACE + ["--cap", "0"],
         LEARN + ["--config", "f"],
         LEARN + ["--crossover-rate", "0.5"],
         LEARN + ["--mutation-rate", "0.5"],
@@ -369,8 +370,9 @@ def test_out_of_range_flags_are_input_errors(tmp_path, monkeypatch, capsys, argv
         ["solve", "--variant", "handcrafted", "--time", "5", "--runs", "1"],
         LEARN + ["--pop", "5"],
     ],
-    ids=["tenure", "plateau", "costs-exact", "costs-nearest", "costs-none", "config",
-         "crossover-rate", "mutation-rate", "elite-fraction", "prefix-time", "prefix-pop"],
+    ids=["tenure", "plateau", "costs-exact", "costs-nearest", "costs-none", "budget",
+         "direct-budget", "cap", "config", "crossover-rate", "mutation-rate", "elite-fraction",
+         "prefix-time", "prefix-pop"],
 )
 def test_removed_settings_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

@@ -48,6 +48,20 @@ def test_concept_input_validation():
             concept_holds_batch(ALLDIFF, rows)
 
 
+@pytest.mark.parametrize("kind", list(ConstraintKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("label", [concept_holds_batch, reference_costs_batch],
+                         ids=lambda f: f.__name__)
+def test_values_outside_the_domain_are_rejected(kind, label):
+    # Unchecked, such a value gets a label or cost as if it were in the
+    # domain: alldiff over [1, 3] would hold for [1, 2, 9].
+    p = {"linearsum": 6, "minimum": 2, "nooverlap": 1}.get(kind.value, 0)
+    c = ConstraintInstance(kind, 3, 1, 4, p=p)
+    label(c, [[1, 2, 3]])
+    for bad in (0, 5, -7, 99):
+        with pytest.raises(ValueError, match=re.escape(f"value {bad} outside domain [1, 4]")):
+            label(c, [[1, 2, 3], [2, bad, 4]])
+
+
 def test_instance_validation():
     with pytest.raises(ValueError):
         ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 1, 1, 3)

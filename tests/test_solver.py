@@ -12,7 +12,6 @@ from efkit.solver import (
     Constraint,
     Model,
     _all_distinct,
-    _has_duplicate_batch,
     benchmark_sudoku,
     build_sudoku,
     derive_seeds,
@@ -20,6 +19,11 @@ from efkit.solver import (
 )
 
 from oracles import duplicate_positions, equal_pairs
+
+
+def row_by_row(error):
+    """An error_batch that calls a one-row error on each row."""
+    return lambda X: np.array([error(row) for row in X.tolist()], dtype=np.int64)
 
 
 def test_alldiff_primal_violation():
@@ -36,9 +40,10 @@ def _has_duplicate(x):
     return int(duplicate_positions(x) > 0)
 
 
-@pytest.mark.parametrize("width", [9, 16])
-@pytest.mark.parametrize("batch, scalar", [(_has_duplicate_batch, _has_duplicate)])
-def test_batch_errors_match_scalar_references(batch, scalar, width):
+@pytest.mark.parametrize("k", [3, 4])
+def test_batch_errors_match_scalar_references(k):
+    batch = build_sudoku(k, "predicate").constraints[0].error_batch
+    width = k * k
     rng = np.random.default_rng(width)
     X = np.concatenate(
         [
@@ -49,15 +54,8 @@ def test_batch_errors_match_scalar_references(batch, scalar, width):
     )
     got = batch(X)
     assert got.dtype == np.int64
-    assert got.tolist() == [scalar(row) for row in X.tolist()]
+    assert got.tolist() == [_has_duplicate(row) for row in X.tolist()]
     assert got[-4] > 0 and got[-2] == got[-1] == 0
-
-
-def test_constraint_error_batch_defaults_to_row_wise_error():
-    con = Constraint(scope=(0, 1), error=lambda v: abs(v[0] - v[1]), predicate=lambda v: True)
-    got = con.error_batch(np.array([[1, 4], [2, 2], [5, 3]]))
-    assert got.dtype == np.int64
-    assert got.tolist() == [3, 0, 2]
 
 
 def test_build_sudoku_shapes():
@@ -117,26 +115,23 @@ def test_predicate_sudoku_scores_0_1_through_one_evaluator():
 
 def test_constraint_requires_an_error_function():
     with pytest.raises(ValueError, match="no error function"):
-        Constraint(scope=(0, 1), error=None, predicate=lambda v: v[0] != v[1])
+        Constraint(scope=(0, 1), predicate=lambda v: v[0] != v[1])
 
 
 def test_constraint_takes_one_error_form():
     # Each form is the whole definition; a second one could disagree, and
-    # the solver would read only one of them.
-    terms = (0, 0, 1)
-    batch = _has_duplicate_batch
-    for forms, named in [
-        ({"error": equal_pairs, "count_terms": terms}, "error and count_terms"),
-        ({"error_batch": batch, "count_terms": terms}, "error_batch and count_terms"),
-        ({"error": equal_pairs, "error_batch": batch}, "error and error_batch"),
-        ({"error": equal_pairs, "error_batch": batch, "count_terms": terms}, "error and error_batch and count_terms"),
-    ]:
-        with pytest.raises(ValueError, match=rf"scope \(0, 1\) gives {named}; give exactly one error form"):
-            Constraint(scope=(0, 1), predicate=lambda v: True, **forms)
+    # the solver would read only one of them. error is derived from the one
+    # given, so it is no input.
+    named = r"scope \(0, 1\) gives error_batch and count_terms; give exactly one error form"
+    with pytest.raises(ValueError, match=named):
+        Constraint(scope=(0, 1), predicate=lambda v: True, error_batch=row_by_row(equal_pairs),
+                   count_terms=(0, 0, 1))
+    with pytest.raises(TypeError, match="unexpected keyword argument 'error'"):
+        Constraint(scope=(0, 1), predicate=lambda v: True, error=equal_pairs)
 
 
 def test_solve_trivial_model_is_immediate():
-    cons = [Constraint(scope=(0, 1), error=lambda v: 0.0, predicate=lambda v: True)]
+    cons = [Constraint(scope=(0, 1), error_batch=row_by_row(lambda v: 0), predicate=lambda v: True)]
     m = Model([(1, 3), (1, 3)], cons)
     out = solve(m, timeout_ms=1000, rng_seed=0)
     assert out.status == "solved"
@@ -145,7 +140,7 @@ def test_solve_trivial_model_is_immediate():
 
 
 def test_solve_timeout_is_a_normal_outcome():
-    cons = [Constraint(scope=(0, 1), error=lambda v: 1.0, predicate=lambda v: False)]
+    cons = [Constraint(scope=(0, 1), error_batch=row_by_row(lambda v: 1), predicate=lambda v: False)]
     m = Model([(1, 3), (1, 3)], cons)
     out = solve(m, timeout_ms=100, rng_seed=0)
     assert out.status == "timeout"
@@ -157,7 +152,8 @@ def test_solve_timeout_is_a_normal_outcome():
 def test_solve_with_no_movable_variable_times_out_at_once():
     # Both domains hold one value and the constraint is violated: no move
     # exists, so the search gives up without waiting for the deadline.
-    cons = [Constraint(scope=(0, 1), error=lambda v: int(v[0] == v[1]), predicate=lambda v: v[0] != v[1])]
+    cons = [Constraint(scope=(0, 1), error_batch=row_by_row(lambda v: int(v[0] == v[1])),
+                       predicate=lambda v: v[0] != v[1])]
     out = solve(Model([(1, 1), (1, 1)], cons), timeout_ms=10000, rng_seed=0)
     assert out.status == "timeout" and out.assignment is None
     assert out.elapsed_ms < 1000
@@ -166,7 +162,7 @@ def test_solve_with_no_movable_variable_times_out_at_once():
 def test_solve_never_moves_a_fixed_variable():
     alldiff = Constraint(
         scope=(0, 1, 2),
-        error=lambda v: len(v) - len(set(v)),
+        error_batch=row_by_row(lambda v: len(v) - len(set(v))),
         predicate=lambda v: len(set(v)) == len(v),
     )
     for seed in range(5):
@@ -305,13 +301,13 @@ def test_constraint_rejects_a_repeated_variable():
     # Counted twice, such a constraint would weigh double in the penalty
     # scan and in its variable's scoring plan.
     with pytest.raises(ValueError, match="names a variable more than once"):
-        Constraint(scope=(0, 1, 0), error=equal_pairs, predicate=lambda vals: True)
+        Constraint(scope=(0, 1, 0), error_batch=row_by_row(equal_pairs), predicate=lambda vals: True)
 
 
 def test_unfaithful_guidance_restarts_are_counted_by_cause():
     # Total error 0 with a false predicate: every start is an unfaithful
     # restart, and no move is ever made.
-    cons = [Constraint(scope=(0, 1), error=lambda v: 0, predicate=lambda v: False)]
+    cons = [Constraint(scope=(0, 1), error_batch=row_by_row(lambda v: 0), predicate=lambda v: False)]
     out = solve(Model([(1, 3), (1, 3)], cons), timeout_ms=50, rng_seed=0)
     assert out.status == "timeout" and out.iterations == 0
     assert out.unfaithful_restarts == out.restarts >= 1
@@ -325,9 +321,8 @@ def test_sudoku_count_terms_sum_to_the_error(variant, oracle):
     X = np.concatenate([rng.integers(1, 10, size=(300, 9)), np.full((1, 9), 3), [np.arange(1, 10)]])
     expected = [oracle(row) for row in X.tolist()]
     for con in build_sudoku(3, variant).constraints:
+        assert con.error_batch is None
         assert [con.error(row) for row in X.tolist()] == expected
-        assert con.error_batch(X).dtype == np.int64
-        assert con.error_batch(X).tolist() == expected
 
 
 def test_count_terms_must_fit_the_scope():
@@ -370,7 +365,8 @@ COUNT_ERRORS = [
 
 def alldiff_model(domains, specs, counted):
     """The drawn model; constraint i is given by its count_terms when
-    counted(i), else by the oracle error, scored through error_batch."""
+    counted(i), else by the oracle error applied row by row as its
+    error_batch."""
     cons = []
     for i, (scope, pairs, _) in enumerate(specs):
         error, term = COUNT_ERRORS[0 if pairs else 1]
@@ -378,7 +374,7 @@ def alldiff_model(domains, specs, counted):
             terms = tuple(term(c) for c in range(len(scope) + 1))
             cons.append(Constraint(scope=scope, predicate=_all_distinct, count_terms=terms))
         else:
-            cons.append(Constraint(scope=scope, predicate=_all_distinct, error=error))
+            cons.append(Constraint(scope=scope, predicate=_all_distinct, error_batch=row_by_row(error)))
     return Model(domains, cons)
 
 

@@ -106,12 +106,13 @@ def test_sample_balanced_deterministic():
     assert (a.labels == b.labels).all()
 
 
-def test_sample_balanced_exhaustion_when_one_class_missing():
+def test_sample_balanced_exhaustion_when_one_class_missing(monkeypatch):
     # p below the domain: every assignment satisfies, so non-solutions
     # can never be found and the budget must surface clearly.
     c = ConstraintInstance(ConstraintKind.MINIMUM, 3, 2, 4, p=1)
+    monkeypatch.setattr(spaces, "DRAW_BUDGET", 2000)
     with pytest.raises(SamplingExhaustedError, match="non-solutions"):
-        sample_balanced(c, 5, rng_seed=0, draw_budget=2000)
+        sample_balanced(c, 5, rng_seed=0)
 
 
 def test_sample_solutions_direct_are_valid_and_seeded():
@@ -210,12 +211,13 @@ def test_block_size_does_not_change_samples(monkeypatch):
 ALL_SOLUTIONS = ConstraintInstance(ConstraintKind.MINIMUM, 3, 2, 4, p=1)
 
 
-def test_sampling_leaves_no_thread_running():
+def test_sampling_leaves_no_thread_running(monkeypatch):
     before = threading.enumerate()
     sample_balanced(ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 5, 1, 6), 50, rng_seed=3)
     assert threading.enumerate() == before
+    monkeypatch.setattr(spaces, "DRAW_BUDGET", 2000)
     with pytest.raises(SamplingExhaustedError):
-        sample_balanced(ALL_SOLUTIONS, 5, rng_seed=0, draw_budget=2000)
+        sample_balanced(ALL_SOLUTIONS, 5, rng_seed=0)
     assert threading.enumerate() == before
 
 
@@ -253,8 +255,9 @@ def _count_labeled_rows(monkeypatch, block_cells):
 @pytest.mark.parametrize("budget", [1, 4, 2000, 2001])
 def test_rows_labeled_never_exceed_the_draw_budget(monkeypatch, block_cells, budget):
     labeled = _count_labeled_rows(monkeypatch, block_cells)
+    monkeypatch.setattr(spaces, "DRAW_BUDGET", budget)
     with pytest.raises(SamplingExhaustedError):
-        sample_balanced(ALL_SOLUTIONS, 5, rng_seed=0, draw_budget=budget)
+        sample_balanced(ALL_SOLUTIONS, 5, rng_seed=0)
     assert sum(labeled) == budget
 
 
@@ -265,7 +268,8 @@ def test_a_budget_of_the_rows_an_unbounded_run_labels_suffices(monkeypatch, bloc
     unbounded = sample_balanced(c, 40, rng_seed=2)
     needed = sum(labeled)
     labeled.clear()
-    exact = sample_balanced(c, 40, rng_seed=2, draw_budget=needed)
+    monkeypatch.setattr(spaces, "DRAW_BUDGET", needed)
+    exact = sample_balanced(c, 40, rng_seed=2)
     assert sum(labeled) == needed
     assert np.array_equal(exact.assignments, unbounded.assignments)
 
@@ -452,9 +456,10 @@ def test_load_space_header_rejections_name_file_and_line(tmp_path, header, messa
     assert message in str(info.value)
 
 
-def test_direct_sampler_honours_the_draw_budget():
+def test_direct_sampler_honours_the_draw_budget(monkeypatch):
     # The first block holds 3 rows; within the 1-row budget the only row is
     # a solution, so the non-solution quota cannot be met.
     c = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 2, 1, 3)
+    monkeypatch.setattr(spaces, "DRAW_BUDGET", 1)
     with pytest.raises(SamplingExhaustedError, match="0/1 non-solutions"):
-        sample_balanced_direct(c, 1, rng_seed=0, draw_budget=1)
+        sample_balanced_direct(c, 1, rng_seed=0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import concepts, spaces
+from . import concepts
 from .concepts import ConstraintInstance
 from .spaces import LabeledSpace
 
@@ -48,12 +48,6 @@ class SolutionSet:
 
     def __len__(self) -> int:
         return len(self.solutions)
-
-
-def exhaustive_solution_set(c: ConstraintInstance) -> SolutionSet:
-    """Every solution of the complete space, found by enumeration."""
-    space = spaces.enumerate_complete(c)
-    return SolutionSet(c, space.assignments[space.labels], exhaustive=True)
 
 
 def solution_set_from_space(space: LabeledSpace) -> SolutionSet:

@@ -14,6 +14,8 @@ serves every space the paper builds.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -32,7 +34,7 @@ from .concepts import (
     parse_ints,
 )
 
-ENUMERATION_CAP = 10**7  # assignments a complete space may hold
+ENUMERATION_CAP = 10**7  # assignments a complete space, or cells a LinearSum count table, may hold
 DRAW_BUDGET = 10**8  # LHS rows a sampled space may label
 
 # Full batches are generated in blocks of up to this many cells (4096
@@ -43,15 +45,11 @@ _BLOCK_CELLS = 4096 * 10 * 10
 
 
 class EnumerationCapError(Exception):
-    """Complete enumeration would exceed ENUMERATION_CAP."""
+    """A complete space or a LinearSum count table would exceed ENUMERATION_CAP."""
 
 
 class SamplingExhaustedError(Exception):
     """DRAW_BUDGET ran out before both class quotas were met."""
-
-
-class NoDirectSamplerError(ValueError):
-    """sample_solutions has no direct sampler for the constraint's kind."""
 
 
 @dataclass
@@ -144,11 +142,6 @@ def _order_block(c: ConstraintInstance, u: np.ndarray) -> np.ndarray:
     return order.reshape(count * d, n)
 
 
-def _full_batch_block(c: ConstraintInstance, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count full batches of size d at once, from count * d * n uniforms."""
-    return _order_block(c, rng.random((count, c.d, c.n)))
-
-
 def _lhs_blocks(c: ConstraintInstance, rng: np.random.Generator, draw_budget: int, orderer):
     """The LHS rows in blocks of full batches, in draw order, draw_budget
     rows in all; orderer is a one-thread executor that orders each block.
@@ -228,14 +221,13 @@ def sample_solutions(c: ConstraintInstance, count: int, rng_seed: int) -> np.nda
     """count solutions drawn directly, uniformly over the solution set.
 
     Needed for constraints whose solution rate makes rejection hopeless
-    (an AllDifferent over 100 variables has a rate near 1e-42). A kind
-    without a direct sampler raises NoDirectSamplerError before drawing;
-    use rejection at a reachable rate for it instead.
+    (an AllDifferent over 100 variables has a rate near 1e-42). Every kind
+    has a sampler; an instance without a solution is check_solvable's
+    ValueError, and a LinearSum whose count table would exceed
+    ENUMERATION_CAP cells is an EnumerationCapError, both before any draw.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if c.kind is ConstraintKind.LINEAR_SUM:
-        raise NoDirectSamplerError(f"no direct solution sampler for {c.kind.value}")
     check_solvable(c)
     rng = np.random.default_rng(rng_seed)
     d, n = c.d, c.n
@@ -254,6 +246,8 @@ def sample_solutions(c: ConstraintInstance, count: int, rng_seed: int) -> np.nda
         for i in range(count):
             picks[i] = np.sort(rng.choice(d + n - 1, size=n, replace=False))
         return c.lo + picks - np.arange(n)
+    if c.kind is ConstraintKind.LINEAR_SUM:
+        return _sample_linear_sum(c, count, rng)
     # NoOverlap1D, the one kind left: sorted starts with gaps >= p <-> an
     # n-subset of a shrunken range; a random per-row shuffle then spreads
     # the starts over variables.
@@ -266,26 +260,66 @@ def sample_solutions(c: ConstraintInstance, count: int, rng_seed: int) -> np.nda
     return out
 
 
+def _sample_linear_sum(c: ConstraintInstance, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count LinearSum solutions by exact counting: each row draws a
+    uniform rank below the number of solutions and unranks it position by
+    position.
+
+    With y = x - lo, ways[i][s] counts the assignments of positions i..n-1
+    whose y sum to s, for s up to t = p - n * lo; ways[i][s] is the sum of
+    ways[i + 1] over the window (s - d, s]. The table keeps each row's
+    prefix sums as exact Python ints (ways overflows any float or int64
+    width at n = 100), so the window sums and the unranking are both a
+    difference of two prefix sums.
+    """
+    d, n, t = c.d, c.n, c.p - c.n * c.lo
+    if n * (t + 1) > ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"linearsum count table holds {n * (t + 1)} cells, above the cap of {ENUMERATION_CAP}"
+        )
+    # prefix[i][j] = ways[i + 1][0] + ... + ways[i + 1][j - 1], the counts
+    # for the positions after i; ways[n] is 1 at s = 0 and 0 elsewhere.
+    prefix = [[0] + [1] * (t + 1)]
+    for _ in range(n - 1):
+        below = prefix[-1]
+        ways = [below[s + 1] - below[max(0, s + 1 - d)] for s in range(t + 1)]
+        prefix.append([0, *itertools.accumulate(ways)])
+    prefix.reverse()
+    total = prefix[0][t + 1] - prefix[0][max(0, t + 1 - d)]  # ways[0][t]
+    nbits = total.bit_length()
+    out = np.empty((count, n), dtype=np.int64)
+    for row in range(count):
+        rank = total
+        while rank >= total:  # a uniform nbits-bit integer, redrawn past total
+            rank = int.from_bytes(rng.bytes(-(-nbits // 8)), "little") >> (-nbits % 8)
+        # Position i leaves u of the remaining sum s to the later positions,
+        # x_i = lo + s - u: the u in [s - d + 1, s] whose run of prefix[i],
+        # runs taken by increasing u, holds the rank.
+        s = t
+        for i in range(n):
+            below = prefix[i]
+            start = max(0, s + 1 - d)
+            u = bisect.bisect_right(below, rank + below[start], start, s + 1) - 1
+            rank -= below[u] - below[start]
+            out[row, i] = c.lo + s - u
+            s = u
+    return out
+
+
 def sample_balanced_direct(c: ConstraintInstance, k: int, rng_seed: int) -> LabeledSpace:
     """k directly-sampled solutions followed by k LHS-drawn non-solutions.
 
-    The test-set builder for constraints out of rejection's reach; falls
-    back to rejection for the solution class when no direct sampler exists.
-    DRAW_BUDGET caps the LHS rows drawn, as in sample_balanced.
+    The test-set builder for constraints out of rejection's reach: the
+    solutions come from sample_solutions at rng_seed, the non-solutions
+    from the LHS stream at rng_seed + 1, whose rows DRAW_BUDGET caps as in
+    sample_balanced.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    try:
-        sols = sample_solutions(c, k, rng_seed)
-    except NoDirectSamplerError:
-        sols = None
-    rng = np.random.default_rng(rng_seed + 1)
-    xs, labels = _draw_classes(c, k if sols is None else 0, k, rng)
-    if sols is None:
-        sols = xs[labels]
-    xs = np.concatenate([sols, xs[~labels]], axis=0)
+    sols = sample_solutions(c, k, rng_seed)
+    non, _ = _draw_classes(c, 0, k, np.random.default_rng(rng_seed + 1))
     labels = np.concatenate([np.ones(k, dtype=bool), np.zeros(k, dtype=bool)])
-    return LabeledSpace(c, xs, labels, None, complete=False)
+    return LabeledSpace(c, np.concatenate([sols, non], axis=0), labels, None, complete=False)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +364,8 @@ def load_space(path) -> LabeledSpace:
     token that is not key=value, an unknown, repeated or missing key, or an
     invalid constraint; a file with no rows; rows of the wrong width,
     non-integer tokens, values outside [lo, hi], labels other than 0/1 or at
-    odds with the concept, and solutions with a non-zero cost."""
+    odds with the concept, solutions with a non-zero cost, and a cost set or
+    unset where the first row's is not."""
     text = Path(path).read_text().splitlines()
     if not text or not text[0].startswith("# constraint "):
         raise ValueError(f"{path}:1: missing space header")
@@ -369,10 +404,12 @@ def load_space(path) -> LabeledSpace:
         raise ValueError(f"{path}:2: no rows after the header")
     xs = np.array(rows, dtype=np.int64)
     label_arr = np.array(labels, dtype=bool)
-    outside = np.flatnonzero(((xs < c.lo) | (xs > c.hi)).any(axis=1))
-    if len(outside):
-        raise ValueError(f"{path}:{line_nos[outside[0]]}: value outside [{c.lo}, {c.hi}]")
-    wrong = np.flatnonzero(concept_holds_batch(c, xs) != label_arr)
+    try:
+        holds = concept_holds_batch(c, xs)
+    except ValueError:  # the rows have width n, so a value is outside [lo, hi]
+        outside = np.flatnonzero(((xs < c.lo) | (xs > c.hi)).any(axis=1))
+        raise ValueError(f"{path}:{line_nos[outside[0]]}: value outside [{c.lo}, {c.hi}]") from None
+    wrong = np.flatnonzero(holds != label_arr)
     if len(wrong):
         i = wrong[0]
         raise ValueError(
@@ -380,8 +417,9 @@ def load_space(path) -> LabeledSpace:
             f"{format_constraint_line(c)}"
         )
     cost_arr = np.array(costs, dtype=np.int64)
-    if (cost_arr < 0).all():
+    mixed = np.flatnonzero((cost_arr < 0) != (cost_arr[0] < 0))
+    if len(mixed):
+        raise ValueError(f"{path}:{line_nos[mixed[0]]}: mixed set and unset costs")
+    if cost_arr[0] < 0:
         cost_arr = None
-    elif (cost_arr < 0).any():
-        raise ValueError(f"{path}: mixed set and unset costs")
     return LabeledSpace(c, xs, label_arr, cost_arr, complete=fields["complete"] == "1")

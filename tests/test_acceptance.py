@@ -42,7 +42,7 @@ def report(num, ok, detail):
 
 def complete_space_with_costs(c):
     space = spaces.enumerate_complete(c)
-    return hamming.label_space_costs(space, hamming.exhaustive_solution_set(c))
+    return hamming.label_space_costs(space, hamming.solution_set_from_space(space))
 
 
 def test_criterion_01_oracle_equivalence():
@@ -50,7 +50,7 @@ def test_criterion_01_oracle_equivalence():
     checked = 0
     for c in SMALL_INSTANCES:
         space = spaces.enumerate_complete(c)
-        sols = hamming.exhaustive_solution_set(c)
+        sols = hamming.solution_set_from_space(space)
         exact = hamming.nearest_distances(space.assignments, sols.solutions)
         zero_iff_concept = ((exact == 0) == space.labels).all()
         assert zero_iff_concept, c

@@ -76,6 +76,11 @@ def test_gen_space_resource_errors(tmp_path, monkeypatch):
     )
     assert code == 2  # sampling exhausted
     code = run_cli(
+        "gen-space", "--kind", "linearsum", "--n", "10", "--lo", "0", "--hi", "10000000",
+        "--p", "50000000", "--sampled", "--solutions", "direct", "--out", str(tmp_path / "never4.txt"),
+    )
+    assert code == 2  # linearsum count table cap
+    code = run_cli(
         "gen-space", "--kind", "sudoku", "--n", "4", "--lo", "1", "--hi", "5",
         "--complete", "--out", str(tmp_path / "never3.txt"),
     )

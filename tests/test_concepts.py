@@ -20,7 +20,7 @@ from efkit.concepts import (
     parse_kind,
     reference_costs_batch,
 )
-from efkit import hamming
+from efkit import spaces
 
 from oracles import all_assignments, brute_force_hamming, concept_naive
 
@@ -128,7 +128,7 @@ def test_nooverlap_that_does_not_fit_has_no_solution(monkeypatch):
     def no_search(c):
         raise AssertionError("enumerated")
 
-    monkeypatch.setattr(hamming, "exhaustive_solution_set", no_search)
+    monkeypatch.setattr(spaces, "enumerate_complete", no_search)
     for n, hi, p in [(7, 9, 2), (9, 8, 1)]:
         c = ConstraintInstance(ConstraintKind.NO_OVERLAP_1D, n, 1, hi, p=p)
         with pytest.raises(ValueError, match=f"nooverlap n={n} p={p} does not fit in \\[1, {hi}\\]"):
@@ -349,4 +349,43 @@ def test_no_module_imports_a_name_it_never_uses():
                     imported[alias.asname or alias.name] = node.lineno
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+    assert not unused, unused
+
+
+def test_every_src_name_has_a_user_outside_the_tests():
+    """A top-level name in src/efkit that nothing in src/efkit, bench/ or
+    scripts/ refers to, outside its own definition, is code kept alive only
+    by tests. The package's __all__ and dunder names are exempt. A string
+    equal to the name counts as a use: the bench wraps functions by name."""
+    import ast
+    from collections import defaultdict
+
+    import efkit
+
+    src = Path(efkit.__file__).parent
+    root = src.parent.parent
+    users = defaultdict(set)  # name -> the (file, top-level statement) pairs that use it
+    for path in [*src.glob("*.py"), *(root / "bench").glob("*.py"), *(root / "scripts").glob("*.py")]:
+        for index, stmt in enumerate(ast.parse(path.read_text()).body):
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    users[node.id].add((path, index))
+                elif isinstance(node, ast.Attribute):
+                    users[node.attr].add((path, index))
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    users[node.value].add((path, index))
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        for index, stmt in enumerate(ast.parse(path.read_text()).body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                exempt = name in efkit.__all__ or (name.startswith("__") and name.endswith("__"))
+                if not exempt and not users[name] - {(path, index)}:
+                    unused.append(f"{path.name}:{stmt.lineno}: {name}")
     assert not unused, unused

@@ -18,7 +18,7 @@ from efkit.ga import (
     replace,
     select,
 )
-from efkit.hamming import exhaustive_solution_set, label_space_costs
+from efkit.hamming import label_space_costs, solution_set_from_space
 from efkit.icn import Genome, alldifferent_reference_genome, validate
 from efkit.solver import derive_seeds
 from efkit.spaces import enumerate_complete
@@ -26,7 +26,8 @@ from efkit.spaces import enumerate_complete
 
 def small_space(kind=ConstraintKind.ALL_DIFFERENT, n=3, lo=1, hi=3, p=0):
     c = ConstraintInstance(kind, n, lo, hi, p)
-    return label_space_costs(enumerate_complete(c), exhaustive_solution_set(c))
+    space = enumerate_complete(c)
+    return label_space_costs(space, solution_set_from_space(space))
 
 
 FAST = dict(population_size=40, max_generations=60, steady_stop=12)
@@ -256,7 +257,8 @@ def test_learn_golden_trajectories(tmp_path):
 
     instances = {"alldiff": TRAIN_ALLDIFF, "minimum": TRAIN_MINIMUM, "linearsum": TRAIN_LINEARSUM}
     for name, c in instances.items():
-        space = label_space_costs(enumerate_complete(c), exhaustive_solution_set(c))
+        space = enumerate_complete(c)
+        space = label_space_costs(space, solution_set_from_space(space))
         got = []
         for seed in derive_seeds(42, 2):
             res = learn(space, GaConfig(rng_seed=seed))
@@ -301,7 +303,8 @@ GOLDEN_LEARN_NEGATIVE = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_LEARN_NEGATIVE))
 def test_learn_golden_trajectories_negative_domain(name):
     c, expected = GOLDEN_LEARN_NEGATIVE[name]
-    space = label_space_costs(enumerate_complete(c), exhaustive_solution_set(c))
+    space = enumerate_complete(c)
+    space = label_space_costs(space, solution_set_from_space(space))
     got = []
     for seed in derive_seeds(42, 2):
         res = learn(space, GaConfig(rng_seed=seed))

@@ -8,7 +8,6 @@ from efkit.concepts import ConstraintInstance, ConstraintKind, reference_costs_b
 from efkit.hamming import (
     SolutionSet,
     UnsatisfiableConstraintError,
-    exhaustive_solution_set,
     label_space_costs,
     label_space_costs_reference,
     nearest_distances,
@@ -22,13 +21,13 @@ ALLDIFF3 = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 3, 1, 3)
 
 
 def test_exact_hamming_examples():
-    sols = exhaustive_solution_set(ALLDIFF3)
+    sols = solution_set_from_space(enumerate_complete(ALLDIFF3))
     assert len(sols) == 6 and sols.exhaustive
     assert nearest_distances([[1, 2, 3], [1, 1, 2], [2, 2, 2]], sols.solutions).tolist() == [0, 1, 2]
 
 
 def test_approx_hamming_bounds_exact():
-    full = exhaustive_solution_set(ALLDIFF3).solutions
+    full = solution_set_from_space(enumerate_complete(ALLDIFF3)).solutions
     sample = np.array([[1, 2, 3]])
     assert nearest_distances([[1, 2, 3], [3, 2, 1]], sample).tolist() == [0, 2]
     assert nearest_distances([[3, 2, 1]], full).tolist() == [0]
@@ -37,7 +36,7 @@ def test_approx_hamming_bounds_exact():
 
 
 def test_adding_solutions_never_increases_approx():
-    full = exhaustive_solution_set(ALLDIFF3).solutions
+    full = solution_set_from_space(enumerate_complete(ALLDIFF3)).solutions
     rng = np.random.default_rng(4)
     order = rng.permutation(len(full))
     queries = [[1, 1, 2], [2, 2, 2], [3, 1, 1], [1, 3, 2]]
@@ -59,14 +58,14 @@ def test_exact_matches_reference_closed_forms_exhaustively():
     ]
     for c in instances:
         space = enumerate_complete(c)
-        exact = nearest_distances(space.assignments, exhaustive_solution_set(c).solutions)
+        exact = nearest_distances(space.assignments, solution_set_from_space(space).solutions)
         assert exact.tolist() == reference_costs_batch(c, space.assignments).tolist()
         assert ((exact == 0) == space.labels).all()
 
 
 def test_label_space_costs_complete():
     space = enumerate_complete(ALLDIFF3)
-    labeled = label_space_costs(space, exhaustive_solution_set(ALLDIFF3))
+    labeled = label_space_costs(space, solution_set_from_space(space))
     assert labeled.has_costs
     assert set(int(v) for v in labeled.costs) == {0, 1, 2}
     for label, cost in zip(labeled.labels, labeled.costs):
@@ -112,7 +111,7 @@ def test_label_space_costs_unsatisfiable():
     unsat = ConstraintInstance(ConstraintKind.MINIMUM, 3, 1, 4, p=9)
     space = enumerate_complete(unsat)
     with pytest.raises(UnsatisfiableConstraintError):
-        label_space_costs(space, exhaustive_solution_set(unsat))
+        label_space_costs(space, solution_set_from_space(space))
 
 
 def test_reference_costs_agree_with_exact_on_complete_spaces():
@@ -124,7 +123,7 @@ def test_reference_costs_agree_with_exact_on_complete_spaces():
         ConstraintInstance(ConstraintKind.NO_OVERLAP_1D, 3, 1, 6, p=2),
     ):
         space = enumerate_complete(c)
-        by_scan = label_space_costs(space, exhaustive_solution_set(c))
+        by_scan = label_space_costs(space, solution_set_from_space(space))
         by_form = label_space_costs_reference(space)
         assert (by_scan.costs == by_form.costs).all()
 

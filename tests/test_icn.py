@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from efkit import icn
 from efkit.concepts import ConstraintInstance, ConstraintKind
-from efkit.hamming import exhaustive_solution_set, label_space_costs
+from efkit.hamming import label_space_costs, solution_set_from_space
 from efkit.icn import (
     EvalContext,
     ErrorFunction,
@@ -185,7 +185,8 @@ def test_regularization_values():
 
 def alldiff_space_with_costs(n=3, lo=1, hi=3):
     c = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, n, lo, hi)
-    return label_space_costs(enumerate_complete(c), exhaustive_solution_set(c))
+    space = enumerate_complete(c)
+    return label_space_costs(space, solution_set_from_space(space))
 
 
 def test_loss_zero_deviation_leaves_regularization():
@@ -260,7 +261,7 @@ def test_normalized_mean_error_perfect_and_offset():
     c = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 3, 1, 3)
     sols_only = LabeledSpace(
         c,
-        exhaustive_solution_set(c).solutions,
+        solution_set_from_space(enumerate_complete(c)).solutions,
         np.ones(6, dtype=bool),
         np.zeros(6, dtype=np.int64),
         complete=False,

@@ -1,6 +1,9 @@
 """Facts about each constraint kind, checked where the library states them:
 the accepted spellings, that every kind has a closed-form Hamming cost, and
-which kinds sample_balanced_direct draws solutions for directly."""
+that every kind has a direct solution sampler, uniform over the solutions,
+which sample_balanced_direct draws from."""
+
+import collections
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from efkit.concepts import (
 )
 from efkit.spaces import sample_balanced, sample_balanced_direct, sample_solutions
 
-from oracles import all_assignments
+from oracles import all_assignments, concept_naive
 
 K = ConstraintKind
 # One satisfiable instance per kind with both classes common, plus
@@ -61,15 +64,38 @@ def test_every_kind_has_a_closed_form(kind):
 def test_direct_space_draws_solutions_directly_iff_a_sampler_exists(kind):
     c, k, seed = INSTANCES[kind][0], 8, 3
     space = sample_balanced_direct(c, k, rng_seed=seed)
-    try:
-        direct = sample_solutions(c, k, rng_seed=seed)
-    except ValueError as exc:
-        assert "no direct solution sampler" in str(exc)
-        direct = None
-    # Non-solutions (and, without a direct sampler, solutions) come from the
-    # LHS stream seeded one past the given seed.
+    # Non-solutions come from the LHS stream seeded one past the given seed.
     lhs = sample_balanced(c, k, rng_seed=seed + 1)
-    expected = lhs.assignments[lhs.labels] if direct is None else direct
-    assert (space.assignments[:k] == expected).all()
+    assert (space.assignments[:k] == sample_solutions(c, k, rng_seed=seed)).all()
     assert (space.assignments[k:] == lhs.assignments[~lhs.labels]).all()
     assert space.labels.tolist() == [True] * k + [False] * k
+
+
+@pytest.mark.parametrize("kind", list(ConstraintKind), ids=lambda k: k.value)
+def test_every_direct_sampler_is_uniform_over_the_solutions(kind):
+    """400 draws per solution hit every solution, each within 4 standard
+    deviations of 400 (a binomial count's sd is under 20 here)."""
+    c = INSTANCES[kind][0]
+    solutions = [x for x in all_assignments(c.n, c.lo, c.hi) if concept_naive(c.kind.value, c.p, x)]
+    per_solution = 400
+    draws = sample_solutions(c, per_solution * len(solutions), rng_seed=11)
+    counts = collections.Counter(map(tuple, draws.tolist()))
+    assert set(counts) == set(solutions)
+    assert all(abs(count - per_solution) <= 4 * 20 for count in counts.values()), counts
+
+
+@pytest.mark.parametrize(
+    "p, expected",
+    [(3, [1, 1, 1]), (12, [4, 4, 4])],
+    ids=["sum-at-least", "sum-at-most"],
+)
+def test_linear_sum_at_an_extreme_sum_draws_its_one_solution(p, expected):
+    c = ConstraintInstance(K.LINEAR_SUM, 3, 1, 4, p=p)
+    assert sample_solutions(c, 5, rng_seed=0).tolist() == [expected] * 5
+
+
+@pytest.mark.parametrize("p", [2, 13], ids=["below", "above"])
+def test_linear_sum_without_a_solution_is_rejected_before_any_draw(p):
+    c = ConstraintInstance(K.LINEAR_SUM, 3, 1, 4, p=p)
+    with pytest.raises(ValueError, match=f"linearsum with p={p} has no solution"):
+        sample_solutions(c, 5, rng_seed=0)

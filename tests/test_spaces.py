@@ -60,11 +60,15 @@ def test_enumeration_cap():
     c = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 10, 1, 10)
     with pytest.raises(EnumerationCapError, match="10000000000"):
         enumerate_complete(c)
+    # LinearSum's count table: 10 positions x (5e7 + 1) sums, refused unbuilt.
+    c = ConstraintInstance(ConstraintKind.LINEAR_SUM, 10, 0, 10**7, p=5 * 10**7)
+    with pytest.raises(EnumerationCapError, match="500000010 cells"):
+        spaces.sample_solutions(c, 1, rng_seed=0)
 
 
 def test_lhs_single_batch_is_a_latin_square_column():
     c = ConstraintInstance(ConstraintKind.ORDERED, 2, 1, 4)
-    xs = spaces._full_batch_block(c, 1, np.random.default_rng(5))
+    xs = spaces._order_block(c, np.random.default_rng(5).random((1, c.d, c.n)))
     assert xs.shape == (4, 2)
     for j in range(2):
         assert sorted(xs[:, j]) == [1, 2, 3, 4]
@@ -72,7 +76,7 @@ def test_lhs_single_batch_is_a_latin_square_column():
 
 def test_lhs_two_batches_hit_each_value_twice():
     c = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 100, 1, 100)
-    xs = spaces._full_batch_block(c, 2, np.random.default_rng(9))
+    xs = spaces._order_block(c, np.random.default_rng(9).random((2, c.d, c.n)))
     assert xs.shape == (200, 100)
     for j in range(0, 100, 17):
         counts = np.bincount(xs[:, j], minlength=101)[1:]
@@ -120,6 +124,7 @@ def test_sample_solutions_direct_are_valid_and_seeded():
 
     for c in (
         ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 8, 1, 12),
+        ConstraintInstance(ConstraintKind.LINEAR_SUM, 7, -3, 9, p=5),
         ConstraintInstance(ConstraintKind.MINIMUM, 6, 1, 9, p=4),
         ConstraintInstance(ConstraintKind.ORDERED, 7, 2, 6),
         ConstraintInstance(ConstraintKind.NO_OVERLAP_1D, 4, 0, 20, p=3),
@@ -129,23 +134,18 @@ def test_sample_solutions_direct_are_valid_and_seeded():
         assert all(concept_naive(c.kind.value, c.p, row) for row in xs.tolist())
         assert (xs == sample_solutions(c, 64, rng_seed=13)).all()
 
-    with pytest.raises(ValueError, match="direct"):
-        sample_solutions(ConstraintInstance(ConstraintKind.LINEAR_SUM, 3, 1, 5, p=9), 4, 0)
 
-
-def test_sample_balanced_direct_balances_and_falls_back():
+def test_sample_balanced_direct_balances_both_classes():
     from efkit.spaces import sample_balanced_direct
 
-    c = ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 20, 1, 20)
-    space = sample_balanced_direct(c, 40, rng_seed=5)
-    assert len(space) == 80 and space.solution_count == 40
-    for x, label in zip(space.assignments.tolist(), space.labels):
-        assert label == concept_naive(c.kind.value, c.p, x)
-
-    # no direct sampler: the solution class comes from rejection
-    c = ConstraintInstance(ConstraintKind.LINEAR_SUM, 4, 1, 5, p=12)
-    space = sample_balanced_direct(c, 15, rng_seed=5)
-    assert len(space) == 30 and space.solution_count == 15
+    for c, k in (
+        (ConstraintInstance(ConstraintKind.ALL_DIFFERENT, 20, 1, 20), 40),
+        (ConstraintInstance(ConstraintKind.LINEAR_SUM, 4, 1, 5, p=12), 15),
+    ):
+        space = sample_balanced_direct(c, k, rng_seed=5)
+        assert len(space) == 2 * k and space.solution_count == k
+        for x, label in zip(space.assignments.tolist(), space.labels):
+            assert label == concept_naive(c.kind.value, c.p, x)
 
 
 def test_space_file_round_trip(tmp_path):
@@ -196,7 +196,7 @@ def test_block_size_does_not_change_samples(monkeypatch):
         built = [
             sample_balanced(c, 40, rng_seed=2),
             sample_balanced_direct(c, 40, rng_seed=2),
-            sample_balanced_direct(linear, 30, rng_seed=4),  # rejection for solutions
+            sample_balanced_direct(linear, 30, rng_seed=4),  # LHS for non-solutions only
         ]
         return [part for sp in built for part in (sp.assignments, sp.labels)]
 
@@ -286,25 +286,11 @@ def test_a_budget_of_the_rows_an_unbounded_run_labels_suffices(monkeypatch, bloc
 @example(d=2049, n=3, lo=-2049, count=1, seed=1)
 def test_full_batch_block_is_the_stable_argsort_of_its_draws(d, n, lo, count, seed):
     c = ConstraintInstance(ConstraintKind.ORDERED, n, lo, lo + d - 1)
-    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = spaces._full_batch_block(c, count, rng)
-    draws = reference.random((count, d, n))
+    draws = np.random.default_rng(seed).random((count, d, n))
     expected = (lo + draws.argsort(axis=1, kind="stable")).reshape(count * d, n)
+    got = spaces._order_block(c, draws)
     assert got.dtype == np.int64
     assert np.array_equal(got, expected)
-    # Later blocks continue the same stream.
-    assert rng.bit_generator.state == reference.bit_generator.state
-
-
-class _FixedDraws:
-    """Stands in for a Generator whose next random() call returns u."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, shape):
-        assert shape == self.u.shape
-        return self.u.copy()
 
 
 @pytest.mark.parametrize("d", [4, 2048, 2049], ids=lambda d: f"d{d}")
@@ -313,7 +299,7 @@ def test_full_batch_block_breaks_tied_draws_by_row(d):
     u = np.full((1, d, 2), 0.5)
     u[0, 1::2, 1] = 0.25
     c = ConstraintInstance(ConstraintKind.ORDERED, 2, -1, d - 2)
-    got = spaces._full_batch_block(c, 1, _FixedDraws(u))
+    got = spaces._order_block(c, u)
     rows = np.arange(d)
     assert np.array_equal(got[:, 0], rows - 1)
     assert np.array_equal(got[:, 1], np.concatenate([rows[1::2], rows[0::2]]) - 1)
@@ -338,10 +324,11 @@ HEADER = "# constraint kind=alldiff n=3 lo=1 hi=4 p=0 complete=0\n"
         ("1 2 0_3 | 0 | 1", "'0_3' is not an integer"),
         ("1 2 \uff13 | 0 | 1", "'\uff13' is not an integer"),
         ("1 1 2 | 0 | +1", "'+1' is not an integer"),
+        ("1 1 2 | 0 | -", "mixed set and unset costs"),
     ],
     ids=["label-token", "false-solution", "false-non-solution", "domain", "width",
          "non-integer", "non-integer-cost", "negative-cost", "solution-cost",
-         "plus-sign", "underscore", "full-width-digit", "plus-sign-cost"],
+         "plus-sign", "underscore", "full-width-digit", "plus-sign-cost", "mixed-costs"],
 )
 def test_load_space_rejects_with_file_and_line(tmp_path, row, message):
     path = tmp_path / "bad.txt"
@@ -349,6 +336,13 @@ def test_load_space_rejects_with_file_and_line(tmp_path, row, message):
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}:3: ")) as info:
         load_space(path)
     assert message in str(info.value)
+
+
+def test_load_space_names_a_value_outside_the_domain_before_a_wrong_label(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text(HEADER + "2 3 4 | 1 | 0\n1 1 2 | 1 | 0\n1 2 9 | 0 | 1\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}:4: value outside [1, 4]") + "$"):
+        load_space(path)
 
 
 @pytest.mark.parametrize("rows", ["", "\n\n"], ids=["header-only", "blank-lines"])
@@ -362,12 +356,13 @@ def test_load_space_rejects_a_file_without_rows(tmp_path, rows):
 
 # sha256 prefixes of `save_space` text at seeds 0 and 1, computed before the
 # samplers and the Hamming labeling were rewritten over shared helpers; any
-# change to the LHS streams, the kept rows or the costs shows here.
+# change to the LHS streams, the kept rows or the costs shows here. The
+# direct-linearsum pair dates from LinearSum's exact-count sampler.
 GOLDEN_SPACES = {
     "balanced-alldiff": ("fb19a791ba5f7f6a", "73d7f2243addf6f5"),
     "balanced-linearsum": ("396049379170de98", "93313441c7d1a560"),
     "direct-alldiff": ("23ef548aa1be9555", "cf24e57f1ccdb022"),
-    "direct-linearsum": ("1b75f9f94125d067", "8c73783662f107ae"),
+    "direct-linearsum": ("01023443483f5bd3", "fb3d75e702b2e53b"),
     "nearest-alldiff": ("ca30f8ffd2ce07a4", "ab78c4f8a4824b9f"),
     "nearest-linearsum": ("190521d030639add", "0254e37037963cc8"),
 }
@@ -419,7 +414,7 @@ def test_sampled_streams_golden_past_the_cutoffs(tmp_path):
     for seed in (0, 1):
         for hi in (2040, 2041):
             c = ConstraintInstance(ConstraintKind.ORDERED, 3, -7, hi)
-            blocks = spaces._full_batch_block(c, 2, np.random.default_rng(seed))
+            blocks = spaces._order_block(c, np.random.default_rng(seed).random((2, c.d, c.n)))
             got[f"blocks-d{c.d}"].append(digest(np.ascontiguousarray(blocks, dtype="<i8").tobytes()))
         path = tmp_path / "space.txt"
         save_space(sample_balanced(wide, 30, rng_seed=seed), path)

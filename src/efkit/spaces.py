@@ -224,7 +224,8 @@ def sample_solutions(c: ConstraintInstance, count: int, rng_seed: int) -> np.nda
     (an AllDifferent over 100 variables has a rate near 1e-42). Every kind
     has a sampler; an instance without a solution is check_solvable's
     ValueError, and a LinearSum whose count table would exceed
-    ENUMERATION_CAP cells is an EnumerationCapError, both before any draw.
+    ENUMERATION_CAP cells, or the bits of an int64 table that size, is an
+    EnumerationCapError, both before any draw.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -266,16 +267,27 @@ def _sample_linear_sum(c: ConstraintInstance, count: int, rng: np.random.Generat
     position.
 
     With y = x - lo, ways[i][s] counts the assignments of positions i..n-1
-    whose y sum to s, for s up to t = p - n * lo; ways[i][s] is the sum of
+    whose y sum to s, for s up to t = p - n * lo (or its mirror
+    n * (d - 1) - t, whichever is smaller); ways[i][s] is the sum of
     ways[i + 1] over the window (s - d, s]. The table keeps each row's
     prefix sums as exact Python ints (ways overflows any float or int64
     width at n = 100), so the window sums and the unranking are both a
     difference of two prefix sums.
     """
     d, n, t = c.d, c.n, c.p - c.n * c.lo
-    if n * (t + 1) > ENUMERATION_CAP:
+    # y -> d - 1 - y maps the solutions at t onto those at n * (d - 1) - t,
+    # so a sum above the middle is drawn at its mirror, from half the table.
+    mirror = 2 * t > n * (d - 1)
+    if mirror:
+        t = n * (d - 1) - t
+    # Every count is below d**n, so a cell needs at most n * bit_length(d - 1)
+    # + 1 bits; the counts together may hold no more bits than an int64
+    # table of ENUMERATION_CAP cells.
+    cells, width = n * (t + 1), n * (d - 1).bit_length() + 1
+    if cells > ENUMERATION_CAP or cells * width > 64 * ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"linearsum count table holds {n * (t + 1)} cells, above the cap of {ENUMERATION_CAP}"
+            f"linearsum count table holds {cells} cells of up to {width} bits, above the cap of "
+            f"{ENUMERATION_CAP} cells or {64 * ENUMERATION_CAP} bits"
         )
     # prefix[i][j] = ways[i + 1][0] + ... + ways[i + 1][j - 1], the counts
     # for the positions after i; ways[n] is 1 at s = 0 and 0 elsewhere.
@@ -303,7 +315,7 @@ def _sample_linear_sum(c: ConstraintInstance, count: int, rng: np.random.Generat
             rank -= below[u] - below[start]
             out[row, i] = c.lo + s - u
             s = u
-    return out
+    return c.lo + c.hi - out if mirror else out
 
 
 def sample_balanced_direct(c: ConstraintInstance, k: int, rng_seed: int) -> LabeledSpace:

@@ -75,7 +75,15 @@ def test_direct_space_draws_solutions_directly_iff_a_sampler_exists(kind):
 def test_every_direct_sampler_is_uniform_over_the_solutions(kind):
     """400 draws per solution hit every solution, each within 4 standard
     deviations of 400 (a binomial count's sd is under 20 here)."""
-    c = INSTANCES[kind][0]
+    _assert_uniform(INSTANCES[kind][0])
+
+
+def test_linear_sum_above_the_middle_sum_is_drawn_uniformly_at_its_mirror():
+    # y sums to 5 of at most 9: drawn as the mirrored sum 4, then reflected.
+    _assert_uniform(ConstraintInstance(K.LINEAR_SUM, 3, 1, 4, p=8))
+
+
+def _assert_uniform(c):
     solutions = [x for x in all_assignments(c.n, c.lo, c.hi) if concept_naive(c.kind.value, c.p, x)]
     per_solution = 400
     draws = sample_solutions(c, per_solution * len(solutions), rng_seed=11)

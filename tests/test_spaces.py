@@ -66,6 +66,25 @@ def test_enumeration_cap():
         spaces.sample_solutions(c, 1, rng_seed=0)
 
 
+def test_linear_sum_table_is_bounded_by_the_bits_of_its_counts():
+    # 1000 positions x 9501 sums is under the cell cap, but counts near
+    # 20**1000 take thousands of bits a cell: refused unbuilt.
+    c = ConstraintInstance(ConstraintKind.LINEAR_SUM, 1000, 1, 20, p=10500)
+    assert c.n * (c.p - c.n * c.lo + 1) <= spaces.ENUMERATION_CAP
+    with pytest.raises(EnumerationCapError, match="9501000 cells of up to 5001 bits"):
+        spaces.sample_solutions(c, 1, rng_seed=0)
+    # At n = 100 over [1, 100] every solvable sum passes: one above the
+    # middle is drawn from its mirror's table, at most 4951 sums wide.
+    c = ConstraintInstance(ConstraintKind.LINEAR_SUM, 100, 1, 100, p=10000)
+    assert spaces.sample_solutions(c, 2, rng_seed=0).tolist() == [[100] * 100] * 2
+    # The widest table near the middle sum at d = 100 still passes.
+    c = ConstraintInstance(ConstraintKind.LINEAR_SUM, 122, 1, 100, p=122 * 101 // 2)
+    assert spaces.sample_solutions(c, 1, rng_seed=0).sum() == c.p
+    c = ConstraintInstance(ConstraintKind.LINEAR_SUM, 123, 1, 100, p=123 * 101 // 2)
+    with pytest.raises(EnumerationCapError, match="bits"):
+        spaces.sample_solutions(c, 1, rng_seed=0)
+
+
 def test_lhs_single_batch_is_a_latin_square_column():
     c = ConstraintInstance(ConstraintKind.ORDERED, 2, 1, 4)
     xs = spaces._order_block(c, np.random.default_rng(5).random((1, c.d, c.n)))

@@ -145,6 +145,14 @@ def cmd_learn(args) -> int:
     return 0
 
 
+def _genome_for(path, kind: concepts.ConstraintKind, needs: str) -> icn.ErrorFunction:
+    """The genome at path; learned for a kind other than kind, a ValueError ending in needs."""
+    ef = icn.load_genome(path)
+    if ef.ctx.kind not in (None, kind):
+        raise ValueError(f"{path}: genome was learned for {ef.ctx.kind.value}, {needs}")
+    return ef
+
+
 def cmd_eval(args) -> int:
     space = spaces.load_space(args.space)
     if not space.has_costs:
@@ -155,12 +163,7 @@ def cmd_eval(args) -> int:
         raise ValueError(f"no *.genome.txt files under {target}")
     errors = []
     for path in paths:
-        ef = icn.load_genome(path)
-        if ef.ctx.kind is not None and ef.ctx.kind is not space.constraint.kind:
-            raise ValueError(
-                f"{path}: genome was learned for {ef.ctx.kind.value}, space is "
-                f"{space.constraint.kind.value}"
-            )
+        ef = _genome_for(path, space.constraint.kind, f"space is {space.constraint.kind.value}")
         err = icn.normalized_mean_error(ef, space)
         errors.append(err)
         print(f"{path}\t{err:.6g}\t{icn.describe_genome(ef.genome)}")
@@ -174,13 +177,8 @@ def cmd_eval(args) -> int:
 def cmd_solve(args) -> int:
     genome = None
     if args.genome:
-        ef = icn.load_genome(args.genome)
-        if ef.ctx.kind not in (None, concepts.ConstraintKind.ALL_DIFFERENT):
-            raise ValueError(
-                f"{args.genome}: genome was learned for {ef.ctx.kind.value}, "
-                "Sudoku needs alldiff"
-            )
-        genome = ef.genome
+        alldiff = concepts.ConstraintKind.ALL_DIFFERENT
+        genome = _genome_for(args.genome, alldiff, "Sudoku needs alldiff").genome
     stats = solver.benchmark_sudoku(
         k=args.k,
         variant=args.variant,
@@ -285,8 +283,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EnumerationCapError, SamplingExhaustedError) as exc:
-        print(f"efkit: resource cap: {exc}", file=sys.stderr)
+    except (EnumerationCapError, SamplingExhaustedError, MemoryError) as exc:
+        print(f"efkit: resource cap: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"efkit: error: {exc}", file=sys.stderr)

@@ -4,8 +4,8 @@ A constraint instance bundles a kind, a scope size n, an integer interval
 domain [lo, hi] and an integer parameter p. concept_holds_batch decides
 which rows of an assignment matrix satisfy the constraint, and
 reference_costs_batch gives each row's exact Hamming cost from a per-kind
-closed form; both reject a value outside [lo, hi]. The strict key=value
-and integer readers of the file formats live here too.
+closed form; both reject a value outside [lo, hi]. The one reader of
+assignment matrices and the strict readers of the file formats live here too.
 """
 
 from __future__ import annotations
@@ -94,12 +94,23 @@ class ConstraintInstance:
         return self.hi - self.lo + 1
 
 
+def assignment_matrix(xs, n: int) -> np.ndarray:
+    """xs as an int64 (m, n) matrix, copied only if it is not one; a float, bool or
+    object array, a uint64 value past 2^63 - 1 or any other shape is a ValueError."""
+    xs = np.asarray(xs)
+    if xs.dtype.kind not in "iu":
+        raise ValueError(f"expected integer values, got dtype {xs.dtype}")
+    if xs.dtype == np.uint64 and xs.size and int(xs.max()) > np.iinfo(np.int64).max:
+        raise ValueError(f"value {int(xs.max())} does not fit int64")
+    if xs.ndim != 2 or xs.shape[1] != n:
+        raise ValueError(f"expected shape (m, {n}), got {xs.shape}")
+    return xs.astype(np.int64, copy=False)
+
+
 def _rows(c: ConstraintInstance, xs) -> tuple[np.ndarray, int, int]:
-    """xs as an int64 (m, n) matrix with its least and greatest value; a
+    """xs read by assignment_matrix, with its least and greatest value; a
     value outside [lo, hi] is a ValueError."""
-    xs = np.asarray(xs, dtype=np.int64)
-    if xs.ndim != 2 or xs.shape[1] != c.n:
-        raise ValueError(f"expected shape (m, {c.n}), got {xs.shape}")
+    xs = assignment_matrix(xs, c.n)
     if not xs.size:
         return xs, c.lo, c.lo
     low, high = int(xs.min()), int(xs.max())

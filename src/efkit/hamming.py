@@ -42,9 +42,7 @@ class SolutionSet:
     exhaustive: bool
 
     def __post_init__(self):
-        self.solutions = np.asarray(self.solutions, dtype=np.int64)
-        if self.solutions.ndim != 2 or self.solutions.shape[1] != self.constraint.n:
-            raise ValueError("solution matrix shape does not match constraint scope")
+        self.solutions = concepts.assignment_matrix(self.solutions, self.constraint.n)
 
     def __len__(self) -> int:
         return len(self.solutions)
@@ -67,8 +65,8 @@ def nearest_distances(queries: np.ndarray, solutions: np.ndarray) -> np.ndarray:
     solutions' value span is too wide for the one-hot, rows are compared
     position by position instead.
     """
-    queries = np.asarray(queries, dtype=np.int64)
-    solutions = np.asarray(solutions, dtype=np.int64)
+    solutions = concepts.assignment_matrix(solutions, np.shape(solutions)[-1])
+    queries = concepts.assignment_matrix(queries, solutions.shape[1])
     if len(solutions) == 0:
         raise UnsatisfiableConstraintError("empty solution set")
     m, n = queries.shape

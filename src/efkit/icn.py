@@ -28,6 +28,7 @@ import numpy as np
 from .concepts import (
     ConstraintInstance,
     ConstraintKind,
+    assignment_matrix,
     check_int64_safe,
     parse_fields,
     parse_int,
@@ -325,18 +326,10 @@ def _valid_layers(genome: Genome) -> Layers:
 
 
 def network_outputs(genome: Genome, ctx: EvalContext, X: np.ndarray) -> np.ndarray:
-    """Feed a (m, n) integer matrix through the four layers; returns (m,)
-    int64 >= 0. Values of any other dtype are a ValueError, not truncated,
-    and so is a uint64 value past the int64 range, not wrapped."""
+    """Feed a (m, n) matrix, read by assignment_matrix, through the four
+    layers; returns (m,) int64 >= 0."""
     t_idx, arith, agg, comp = _valid_layers(genome)
-    X = np.asarray(X)
-    if X.dtype.kind not in "iu":
-        raise ValueError(f"expected integer values, got dtype {X.dtype}")
-    if X.dtype == np.uint64 and X.size and int(X.max()) > _INT64_MAX:
-        raise ValueError(f"value {int(X.max())} does not fit int64")
-    X = X.astype(np.int64, copy=False)
-    if X.ndim != 2 or X.shape[1] != ctx.n:
-        raise ValueError(f"expected shape (m, {ctx.n}), got {X.shape}")
+    X = assignment_matrix(X, ctx.n)
     vectors = [_TRANSFORMATION_FNS[t](X, ctx) for t in t_idx]
     return _forward(arith, agg, comp, ctx, vectors)
 
@@ -380,8 +373,8 @@ def regularization(g: Genome) -> float:
 def _space_arrays(space: LabeledSpace) -> tuple[EvalContext, np.ndarray, np.ndarray]:
     if not space.has_costs:
         raise ValueError("space costs are unset; fill them before computing losses")
-    X = np.asarray(space.assignments, dtype=np.int64)
-    return ctx_from_constraint(space.constraint), X, np.asarray(space.costs, dtype=np.int64)
+    costs = np.asarray(space.costs, dtype=np.int64)
+    return ctx_from_constraint(space.constraint), space.assignments, costs
 
 
 class SpaceEvaluator:

@@ -26,6 +26,7 @@ from .concepts import (
     CONSTRAINT_KEYS,
     ConstraintInstance,
     ConstraintKind,
+    assignment_matrix,
     check_solvable,
     concept_holds_batch,
     constraint_from_fields,
@@ -67,9 +68,8 @@ class LabeledSpace:
     complete: bool
 
     def __post_init__(self):
+        self.assignments = assignment_matrix(self.assignments, self.constraint.n)
         m = len(self.assignments)
-        if self.assignments.ndim != 2 or self.assignments.shape[1] != self.constraint.n:
-            raise ValueError("assignment matrix shape does not match constraint scope")
         if self.labels.shape != (m,):
             raise ValueError("labels length mismatch")
         if self.costs is not None and self.costs.shape != (m,):
@@ -104,7 +104,7 @@ def enumerate_complete(c: ConstraintInstance) -> LabeledSpace:
     for j in range(c.n):
         period = c.d ** (c.n - 1 - j)
         cols.append(c.lo + (idx // period) % c.d)
-    xs = np.column_stack(cols).astype(np.int64)
+    xs = np.column_stack(cols)
     labels = concept_holds_batch(c, xs)
     return LabeledSpace(c, xs, labels, None, complete=True)
 

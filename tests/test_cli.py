@@ -87,6 +87,24 @@ def test_gen_space_resource_errors(tmp_path, monkeypatch):
     assert code == 1  # unknown kind
 
 
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 7.28 TiB")],
+                         ids=["bare", "numpy"])
+def test_gen_space_reports_memory_exhaustion_as_a_resource_cap(tmp_path, monkeypatch, capsys,
+                                                               error):
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setattr(spaces, "sample_solutions", exhausted)
+    code = run_cli(
+        "gen-space", "--kind", "alldiff", "--n", "4", "--lo", "1", "--hi", "5", "--sampled",
+        "--solutions", "direct", "--k", "1000000000000", "--out", str(tmp_path / "never.txt"),
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"efkit: resource cap: \S.*\n", err)
+    assert "Traceback" not in err
+
+
 def test_gen_space_rejects_bounds_past_int64_sums(tmp_path, capsys):
     code = run_cli(
         "gen-space", "--kind", "linearsum", "--n", "2", "--lo", "0",

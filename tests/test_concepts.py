@@ -21,6 +21,8 @@ from efkit.concepts import (
     reference_costs_batch,
 )
 from efkit import spaces
+from efkit.hamming import SolutionSet, nearest_distances
+from efkit.icn import ErrorFunction, alldifferent_reference_genome, ctx_from_constraint
 
 from oracles import all_assignments, brute_force_hamming, concept_naive
 
@@ -46,6 +48,57 @@ def test_concept_input_validation():
     for rows in ([[1, 2]], [1, 2, 3], [[[1, 2, 3]]]):
         with pytest.raises(ValueError, match=re.escape("expected shape (m, 3)")):
             concept_holds_batch(ALLDIFF, rows)
+
+
+# Each entry point that takes an assignment matrix, fed one over ALLDIFF.
+MATRIX_ENTRIES = {
+    "concept_holds_batch": lambda xs: concept_holds_batch(ALLDIFF, xs),
+    "reference_costs_batch": lambda xs: reference_costs_batch(ALLDIFF, xs),
+    "nearest_distances-queries": lambda xs: nearest_distances(xs, [[1, 2, 3]]),
+    "nearest_distances-solutions": lambda xs: nearest_distances([[1, 2, 3]], xs),
+    "SolutionSet": lambda xs: SolutionSet(ALLDIFF, xs, exhaustive=True),
+    "LabeledSpace": lambda xs: spaces.LabeledSpace(ALLDIFF, xs, np.zeros(1, bool), None, False),
+    "evaluate_batch": lambda xs: ErrorFunction(
+        alldifferent_reference_genome(), ctx_from_constraint(ALLDIFF)
+    ).evaluate_batch(xs),
+}
+
+
+@pytest.mark.parametrize("entry", MATRIX_ENTRIES.values(), ids=MATRIX_ENTRIES.keys())
+def test_every_matrix_entry_rejects_the_same_inputs(entry):
+    # Cast to int64, a float or bool row would be truncated and a uint64
+    # value past 2^63 - 1 would wrap to a negative one.
+    bad = [
+        (np.array([[1.0, 2.0, 3.0]]), "expected integer values, got dtype float64"),
+        (np.array([[True, False, True]]), "expected integer values, got dtype bool"),
+        (np.array([[1, 2, 3]], dtype=object), "expected integer values, got dtype object"),
+        (np.array([[2**63, 1, 2]], dtype=np.uint64), f"value {2**63} does not fit int64"),
+        (np.array([[1, 2**64 - 1, 2]], dtype=np.uint64), f"value {2**64 - 1} does not fit int64"),
+        (np.array([[1, 2]]), "expected shape (m, "),
+    ]
+    for xs, message in bad:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            entry(xs)
+    entry(np.array([[1, 2, 3]], dtype=np.uint64))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: concept_holds_batch(ALLDIFF, [[1.7, 2.2, 3.9]]),
+        lambda: reference_costs_batch(ALLDIFF, [[1.7, 1.2, 3.9]]),
+        lambda: concept_holds_batch(
+            ConstraintInstance(ConstraintKind.LINEAR_SUM, 2, -3, 3, p=-2),
+            np.array([[2**64 - 1, 2**64 - 1]], dtype=np.uint64),
+        ),
+        lambda: nearest_distances([[1.9, 2, 3]], [[1, 2, 3]]),
+    ],
+    ids=["holds-float", "costs-float", "linearsum-uint64-wraps", "nearest-float"],
+)
+def test_a_cast_never_turns_a_bad_matrix_into_a_result(call):
+    # At a silent int64 cast these gave [True], [1], [True] and [0].
+    with pytest.raises(ValueError):
+        call()
 
 
 @pytest.mark.parametrize("kind", list(ConstraintKind), ids=lambda k: k.value)

@@ -65,10 +65,10 @@ def nearest_distances(queries: np.ndarray, solutions: np.ndarray) -> np.ndarray:
     solutions' value span is too wide for the one-hot, rows are compared
     position by position instead.
     """
-    solutions = concepts.assignment_matrix(solutions, np.shape(solutions)[-1])
-    queries = concepts.assignment_matrix(queries, solutions.shape[1])
     if len(solutions) == 0:
         raise UnsatisfiableConstraintError("empty solution set")
+    solutions = concepts.assignment_matrix(solutions, np.shape(solutions)[-1])
+    queries = concepts.assignment_matrix(queries, solutions.shape[1])
     m, n = queries.shape
     low = int(solutions.min())
     width = int(solutions.max()) - low + 2  # the values, plus one column no solution sets

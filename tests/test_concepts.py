@@ -83,21 +83,21 @@ def test_every_matrix_entry_rejects_the_same_inputs(entry):
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, message",
     [
-        lambda: concept_holds_batch(ALLDIFF, [[1.7, 2.2, 3.9]]),
-        lambda: reference_costs_batch(ALLDIFF, [[1.7, 1.2, 3.9]]),
-        lambda: concept_holds_batch(
+        (lambda: concept_holds_batch(ALLDIFF, [[1.7, 2.2, 3.9]]), "got dtype float64"),
+        (lambda: reference_costs_batch(ALLDIFF, [[1.7, 1.2, 3.9]]), "got dtype float64"),
+        (lambda: concept_holds_batch(
             ConstraintInstance(ConstraintKind.LINEAR_SUM, 2, -3, 3, p=-2),
             np.array([[2**64 - 1, 2**64 - 1]], dtype=np.uint64),
-        ),
-        lambda: nearest_distances([[1.9, 2, 3]], [[1, 2, 3]]),
+        ), f"value {2**64 - 1} does not fit int64"),
+        (lambda: nearest_distances([[1.9, 2, 3]], [[1, 2, 3]]), "got dtype float64"),
     ],
     ids=["holds-float", "costs-float", "linearsum-uint64-wraps", "nearest-float"],
 )
-def test_a_cast_never_turns_a_bad_matrix_into_a_result(call):
+def test_a_cast_never_turns_a_bad_matrix_into_a_result(call, message):
     # At a silent int64 cast these gave [True], [1], [True] and [0].
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(message)):
         call()
 
 
